@@ -48,23 +48,11 @@ class ColumnPattern:
         arr = np.unique(_as_index_array(list(obj) if not hasattr(obj, "__len__") else obj))
         return cls(arr)
 
-    def union(self, other) -> "ColumnPattern":
-        other = ColumnPattern.coerce(other)
-        return ColumnPattern(np.union1d(self.indices, other.indices))
-
-    def difference(self, other) -> "ColumnPattern":
-        other = ColumnPattern.coerce(other)
-        return ColumnPattern(np.setdiff1d(self.indices, other.indices, assume_unique=True))
-
     def __len__(self):
         return int(self.indices.size)
 
     def __iter__(self):
         return iter(self.indices.tolist())
-
-    def __contains__(self, idx):
-        pos = np.searchsorted(self.indices, idx)
-        return pos < self.indices.size and self.indices[pos] == idx
 
 
 @dataclass(frozen=True)
@@ -100,13 +88,6 @@ class SparseVector:
         return cls(x.size, idx, x[idx])
 
     @classmethod
-    def from_pairs(cls, dim, indices, values) -> "SparseVector":
-        idx = _as_index_array(indices)
-        vals = np.asarray(values, dtype=np.float64)
-        order = np.argsort(idx, kind="stable")
-        return cls(dim, idx[order], vals[order])
-
-    @classmethod
     def unit(cls, dim, k) -> "SparseVector":
         return cls(dim, np.array([k], dtype=np.int64), np.array([1.0]))
 
@@ -125,7 +106,8 @@ class SparseMatrix:
 
     Invariants enforced at construction: ``col_ptr`` non-decreasing with
     ``col_ptr[0] == 0`` and ``col_ptr[-1] == nnz``; row indices strictly
-    increasing within each column and in ``[0, nrows)``; no stored zeros.
+    increasing within each column and in ``[0, nrows)``; no stored zeros;
+    every value finite.
     """
 
     __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "_scipy_cache")
@@ -153,6 +135,8 @@ class SparseMatrix:
                 raise ValueError("row indices must be strictly increasing per column")
         if np.any(values == 0.0):
             raise ValueError("explicit zeros are not stored; purge before construction")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("matrix values must be finite; found non-finite entries")
         for arr in (col_ptr, row_idx, values):
             arr.setflags(write=False)
         self.nrows = int(nrows)
@@ -314,13 +298,13 @@ def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
         raise ValueError("empty column pattern")
     if pattern.indices[-1] >= A.ncols:
         raise ValueError("pattern index out of range")
-    pieces = [A.column(j)[0] for j in pattern.indices]
+    columns = [A.column(j) for j in pattern.indices]
+    pieces = [idx for idx, _ in columns]
     if len(extra_rows):
         pieces.append(_as_index_array(extra_rows))
     rows = np.unique(np.concatenate(pieces))
     block = np.zeros((rows.size, len(pattern)))
-    for local_j, j in enumerate(pattern.indices):
-        idx, vals = A.column(j)
+    for local_j, (idx, vals) in enumerate(columns):
         block[np.searchsorted(rows, idx), local_j] = vals
     return block, ColumnPattern(rows)
 

@@ -101,10 +101,20 @@ def _unwrap_preconditioner(M):
     return M.M  # Preconditioner
 
 
+def _checked_rhs(A: SparseMatrix, b) -> np.ndarray:
+    """``b`` as a float array, after checking its shape and finiteness."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != (A.nrows,):
+        raise ValueError(f"right-hand side must have shape ({A.nrows},), got {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("right-hand side has non-finite entries")
+    return b
+
+
 def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
     """BiCGStab from the standard template, preconditioned per ``params.side``."""
     start = time.perf_counter()
-    b = np.asarray(b, dtype=np.float64)
+    b = _checked_rhs(A, b)
     ops = _Operators(A, _unwrap_preconditioner(M), params.side)
     report = SolveReport()
     bnorm = float(np.linalg.norm(b))
@@ -205,7 +215,7 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
     sets the stagnation flag and stops.
     """
     start = time.perf_counter()
-    b = np.asarray(b, dtype=np.float64)
+    b = _checked_rhs(A, b)
     ops = _Operators(A, _unwrap_preconditioner(M), params.side)
     report = SolveReport()
     bnorm = float(np.linalg.norm(b))

@@ -1,5 +1,5 @@
-"""Per-column least-squares problems min ||A(:, S) m - e_k||_2 with
-incremental Householder QR updates as the pattern S grows.
+"""Per-column least-squares problems min ||A(:, S) m - e_k||_2, refactored
+from scratch with one dense QR every time the pattern S changes.
 
 The block is reduced to the rows R that actually carry information: the union
 of the row supports of the columns in S. Row k is force-included in R so that
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .core import ColumnPattern, SparseMatrix, SparseVector
+from .core import ColumnPattern, SparseMatrix, SparseVector, gather_submatrix
 
 _EPS = np.finfo(np.float64).eps
 
@@ -20,13 +20,14 @@ _EPS = np.finfo(np.float64).eps
 class ColumnLeastSquares:
     """State of one column's LS problem: pattern, QR factors, solution.
 
-    Columns appended by :meth:`augment` extend the existing factorization;
-    :meth:`shrink` removes pattern indices and rebuilds the factors from
-    scratch without re-solving (the retained coefficients keep their values,
-    which is exactly the dropped-column semantics the builders need).
+    Every pattern change (construction, :meth:`augment`, :meth:`shrink`)
+    gathers the block A(R, S) afresh and factors it with one QR. :meth:`shrink`
+    does not re-solve: the retained coefficients keep their values, which is
+    exactly the dropped-column semantics the builders need.
 
-    Rank deficiency (a pivot at or below ``n * eps * column_norm``) switches
-    solves to a minimum-norm fallback and sets :attr:`rank_flag`.
+    Rank deficiency (a pivot at or below ``n * eps * column_norm``, or a
+    column with no pivot row left) switches solves to a minimum-norm fallback
+    and sets :attr:`rank_flag`.
     """
 
     def __init__(self, A: SparseMatrix, k: int, pattern):
@@ -39,34 +40,18 @@ class ColumnLeastSquares:
             raise ValueError("initial pattern must be non-empty")
         self._A = A
         self.k = int(k)
-        self.rank_flag = False
-        self._rows = np.array([k], dtype=np.int64)
-        self._row_pos = {int(k): 0}
-        self._cols: list[int] = []
-        self._block = np.zeros((1, 0))
-        self._V = np.zeros((1, 0))
-        self._beta = np.zeros(0)
-        self._Rmat = np.zeros((0, 0))
-        self._rhs = np.array([1.0])
-        self._qtb = np.array([1.0])
-        self._solution = np.zeros(0)
-        self.residual_norm = 1.0
-        self._append_block(pattern.indices)
+        self._factor(pattern)
         self._solve()
 
     # ------------------------------------------------------------------
     @property
     def support(self) -> np.ndarray:
-        """Pattern indices in insertion order, aligned with :attr:`solution`."""
-        return np.array(self._cols, dtype=np.int64)
-
-    @property
-    def pattern(self) -> ColumnPattern:
-        return ColumnPattern(np.sort(np.array(self._cols, dtype=np.int64)))
+        """Pattern indices in increasing order, aligned with :attr:`solution`."""
+        return self._pattern.indices
 
     @property
     def rows(self) -> ColumnPattern:
-        return ColumnPattern(np.sort(self._rows))
+        return self._rows
 
     @property
     def solution(self) -> np.ndarray:
@@ -74,7 +59,7 @@ class ColumnLeastSquares:
         return self._solution.copy()
 
     def solution_vector(self) -> SparseVector:
-        return SparseVector.from_pairs(self._A.nrows, self.support, self._solution)
+        return SparseVector(self._A.nrows, self.support, self._solution)
 
     # ------------------------------------------------------------------
     def augment(self, new_indices) -> "ColumnLeastSquares":
@@ -84,7 +69,7 @@ class ColumnLeastSquares:
             return self
         if np.intersect1d(new_indices.indices, self.support).size:
             raise ValueError("augment indices must be disjoint from the pattern")
-        self._append_block(new_indices.indices)
+        self._factor(ColumnPattern(np.union1d(self.support, new_indices.indices)))
         self._solve()
         return self
 
@@ -98,107 +83,36 @@ class ColumnLeastSquares:
         if len(removed) == 0:
             return self
         support = self.support
-        removed_set = set(removed.indices.tolist())
-        if not removed_set <= set(support.tolist()):
+        if not np.isin(removed.indices, support).all():
             raise ValueError("can only remove indices present in the pattern")
-        if len(removed_set) == len(support):
+        keep = ~np.isin(support, removed.indices)
+        if not keep.any():
             raise ValueError("cannot remove the entire pattern")
-        keep = np.array([c not in removed_set for c in support.tolist()])
-        kept_cols = support[keep]
-        kept_vals = self._solution[keep]
-        self._cols = []
-        self._block = np.zeros((self._rows.size, 0))
-        self._V = np.zeros((self._rows.size, 0))
-        self._beta = np.zeros(0)
-        self._Rmat = np.zeros((0, 0))
-        self._qtb = self._rhs.copy()
-        self.rank_flag = False
-        self._append_block(kept_cols)
-        self._solution = kept_vals
-        self.residual_norm = float(
-            np.linalg.norm(self._block @ kept_vals - self._rhs)
-        )
+        self._factor(ColumnPattern(support[keep]))
+        self._solution = self._solution[keep]
+        self._set_residual()
         return self
 
     # ------------------------------------------------------------------
-    def _append_block(self, new_cols):
-        cols = [int(c) for c in np.asarray(new_cols, dtype=np.int64)]
-        if not cols:
-            return
-        gathered = [self._A.column(c) for c in cols]
-        # extend the row support once for the whole block; new rows are
-        # structurally absent from e_k (row k is in R from the start)
-        new_rows = []
-        pos = self._row_pos
-        base = self._rows.size
-        for idx, _ in gathered:
-            for r in idx.tolist():
-                if r not in pos:
-                    pos[r] = base + len(new_rows)
-                    new_rows.append(r)
-        if new_rows:
-            grow = len(new_rows)
-            self._rows = np.concatenate([self._rows, np.array(new_rows, dtype=np.int64)])
-            self._block = np.vstack([self._block, np.zeros((grow, self._block.shape[1]))])
-            self._V = np.vstack([self._V, np.zeros((grow, self._V.shape[1]))])
-            self._rhs = np.concatenate([self._rhs, np.zeros(grow)])
-            self._qtb = np.concatenate([self._qtb, np.zeros(grow)])
-        m = self._rows.size
-        j_old = len(self._cols)
-        p = len(cols)
-        C = np.zeros((m, p))
-        for t, (idx, vals) in enumerate(gathered):
-            C[[pos[r] for r in idx.tolist()], t] = vals
-        col_norms = np.linalg.norm(C, axis=0)
-
-        W = C.copy()
-        for i in range(j_old):
-            v = self._V[:, i]
-            coeff = self._beta[i] * (v @ W)
-            W -= v[:, None] * coeff[None, :]
-
-        tail = W[j_old:, :]
-        n_ref = min(tail.shape)
-        pivots = np.zeros(p)
-        V_new = np.zeros((m, p))
-        beta_new = np.zeros(p)
-        r_tail = np.zeros((p, p))
-        if n_ref > 0:
-            (qr_t, tau), _ = sla.qr(tail, mode="raw")
-            for t in range(n_ref):
-                v = np.zeros(m)
-                v[j_old + t] = 1.0
-                v[j_old + t + 1 :] = qr_t[t + 1 :, t]
-                V_new[:, t] = v
-                beta_new[t] = tau[t]
-                # reflect the right-hand side through the new reflector
-                self._qtb -= beta_new[t] * v * (v @ self._qtb)
-            upper = np.triu(qr_t[:n_ref, :])
-            r_tail[:n_ref, :] = upper
-            pivots[:n_ref] = np.diagonal(upper)
-        # columns beyond n_ref have no pivot row left: beta stays 0 (identity
-        # reflector) and their zero pivot trips the rank test below
-
-        threshold = self._A.nrows * _EPS * col_norms
-        if np.any(np.abs(pivots) <= threshold):
-            self.rank_flag = True
-
-        j_new = j_old + p
-        Rmat = np.zeros((j_new, j_new))
-        Rmat[:j_old, :j_old] = self._Rmat
-        Rmat[:j_old, j_old:] = W[:j_old, :]
-        Rmat[j_old:, j_old:] = r_tail
-        self._Rmat = Rmat
-        self._V = np.hstack([self._V, V_new])
-        self._beta = np.concatenate([self._beta, beta_new])
-        self._block = np.hstack([self._block, C])
-        self._cols.extend(cols)
+    def _factor(self, pattern: ColumnPattern):
+        self._pattern = pattern
+        self._block, self._rows = gather_submatrix(self._A, pattern, extra_rows=(self.k,))
+        self._rhs = (self._rows.indices == self.k).astype(np.float64)
+        self._Q, self._R = np.linalg.qr(self._block)
+        pivots = np.abs(np.diagonal(self._R))
+        norms = np.linalg.norm(self._block, axis=0)
+        # with more columns than rows the trailing columns have no pivot row
+        self.rank_flag = pivots.size < norms.size or bool(
+            np.any(pivots <= self._A.nrows * _EPS * norms)
+        )
 
     def _solve(self):
-        j = len(self._cols)
         if self.rank_flag:
-            sol, *_ = np.linalg.lstsq(self._block, self._rhs, rcond=None)
+            self._solution, *_ = np.linalg.lstsq(self._block, self._rhs, rcond=None)
         else:
-            sol = sla.solve_triangular(self._Rmat, self._qtb[:j], check_finite=False)
-        self._solution = sol
-        self.residual_norm = float(np.linalg.norm(self._block @ sol - self._rhs))
+            qtb = self._Q[np.searchsorted(self._rows.indices, self.k)]
+            self._solution = sla.solve_triangular(self._R, qtb, check_finite=False)
+        self._set_residual()
+
+    def _set_residual(self):
+        self.residual_norm = float(np.linalg.norm(self._block @ self._solution - self._rhs))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import map_columns
-from .core import SparseMatrix, SparseVector, assemble_columns
+from .core import SparseMatrix, assemble_columns
 from .lsq import ColumnLeastSquares
 
 DROP_MODES = ("none", "adaptive", "fixed")
@@ -186,113 +186,94 @@ class _PowerPattern:
         return new
 
 
-def _finish_record(k, loops, state, pre, post, met, guard, stalled, tmin, tmax):
-    vec = state.solution_vector()
-    return vec, ColumnBuildRecord(
-        k=k,
-        loops_used=loops,
-        pre_drop_residual=pre,
-        post_drop_residual=post,
-        nnz_final=vec.nnz,
-        met_accuracy=met,
-        rank_flag=state.rank_flag,
-        guard_flag=guard,
-        stalled=stalled,
-        tol_min=tmin,
-        tol_max=tmax,
-    )
+class _DropStep:
+    """Drop step run after every solve of the dropping builder.
+
+    Removes the entries at or below the fixed tolerance or the (scaled)
+    adaptive criterion, never empties the column (the guard keeps the entry
+    of largest magnitude) and remembers the range of criteria it computed.
+    """
+
+    def __init__(self, params: SaiParams, a_one_norm: float):
+        self.params = params
+        self.a_one_norm = a_one_norm
+        self.guard = False
+        self.tols: list[float] = []
+
+    def __call__(self, state: ColumnLeastSquares):
+        sol = state.solution
+        criterion = adaptive_drop_tolerance(self.params.epsilon, sol.size, self.a_one_norm)
+        self.tols.append(criterion)
+        if self.params.drop_mode == "adaptive":
+            threshold = self.params.drop_scale * criterion
+        else:
+            threshold = self.params.tol
+        small = np.abs(sol) <= threshold
+        if small.all():
+            # never emit an empty column: keep the entry of largest magnitude
+            small[int(np.argmax(np.abs(sol)))] = False
+            self.guard = True
+        if small.any():
+            state.shrink(state.support[small])
 
 
-def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):
-    """One column of the no-dropping adaptive builder."""
+def _grow_column(A: SparseMatrix, k: int, params: SaiParams, drop: _DropStep | None):
+    """Shared outer loop: grow the pattern by one power step, re-solve, and
+    run ``drop`` (if any) after each solve, until the pre-drop residual meets
+    epsilon, l_max loops are used, or the pattern can no longer grow."""
     eps = params.epsilon
     state = ColumnLeastSquares(A, k, [k])
     power = _PowerPattern(A, k)
     l = 0
     stalled = False
     r_solve = state.residual_norm
-    while r_solve > eps and l <= params.l_max - 1:
+    while r_solve > eps and l < params.l_max:
         new = power.advance()
         if power.exhausted and new.size == 0:
             stalled = True
             break
-        if new.size == 0:
-            l += 1
-            continue
         l += 1
-        state.augment(np.sort(new))
+        if new.size == 0:
+            continue
+        state.augment(new)
         r_solve = state.residual_norm
-        if r_solve <= eps:
-            break
-    return _finish_record(
-        k, l, state, r_solve, r_solve, r_solve <= eps, False, stalled, None, None
+        if drop is not None:
+            drop(state)
+    vec = state.solution_vector()
+    tols = drop.tols if drop is not None else []
+    return vec, ColumnBuildRecord(
+        k=k,
+        loops_used=l,
+        pre_drop_residual=r_solve,
+        post_drop_residual=state.residual_norm,
+        nnz_final=vec.nnz,
+        met_accuracy=r_solve <= eps,
+        rank_flag=state.rank_flag,
+        guard_flag=drop is not None and drop.guard,
+        stalled=stalled,
+        tol_min=min(tols) if tols else None,
+        tol_max=max(tols) if tols else None,
     )
+
+
+def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):
+    """One column of the no-dropping adaptive builder."""
+    return _grow_column(A, k, params, None)
 
 
 def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float):
     """One column of the dropping builder (adaptive or fixed tolerance)."""
     if params.drop_mode == "none":
         raise ValueError("psai_tol_column needs a dropping mode")
-    eps = params.epsilon
-    state = ColumnLeastSquares(A, k, [k])
-    power = _PowerPattern(A, k)
-    l = 0
-    stalled = False
-    guard = False
-    tol_seen: list[float] = []
-
-    def drop_step():
-        nonlocal guard
-        sol = state.solution
-        nnz_before = sol.size
-        criterion = adaptive_drop_tolerance(eps, nnz_before, a_one_norm)
-        tol_seen.append(criterion)
-        if params.drop_mode == "adaptive":
-            threshold = params.drop_scale * criterion
-        else:
-            threshold = params.tol
-        small = np.abs(sol) <= threshold
-        if small.all():
-            # never emit an empty column: keep the entry of largest magnitude
-            keep = int(np.argmax(np.abs(sol)))
-            small[keep] = False
-            guard = True
-        if small.any():
-            state.shrink(state.support[small])
-
-    r_solve = state.residual_norm
-    while r_solve > eps and l <= params.l_max - 1:
-        new = power.advance()
-        if power.exhausted and new.size == 0:
-            stalled = True
-            break
-        if new.size == 0:
-            l += 1
-            continue
-        l += 1
-        state.augment(np.sort(new))
-        r_solve = state.residual_norm
-        drop_step()
-        if r_solve <= eps:
-            break
-    post = state.residual_norm
-    tmin = min(tol_seen) if tol_seen else None
-    tmax = max(tol_seen) if tol_seen else None
-    return _finish_record(
-        k, l, state, r_solve, post, r_solve <= eps, guard, stalled, tmin, tmax
-    )
+    return _grow_column(A, k, params, _DropStep(params, a_one_norm))
 
 
-def build_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float):
+def _build_column(k: int, A: SparseMatrix, params: SaiParams, a_one_norm: float):
     if params.drop_mode == "none" or (
         params.drop_mode == "adaptive" and params.drop_scale == 0.0
     ):
         return bpsai_column(A, k, params)
     return psai_tol_column(A, k, params, a_one_norm)
-
-
-def _column_task(k, A, params, a_norm):
-    return build_column(A, k, params, a_norm)
 
 
 def build_preconditioner(
@@ -311,7 +292,7 @@ def build_preconditioner(
     a_norm = operand.one_norm()
     n = operand.ncols
 
-    results = map_columns(_column_task, (operand, params, a_norm), n, threads)
+    results = map_columns(_build_column, (operand, params, a_norm), n, threads)
     columns = [vec for vec, _ in results]
     records = [rec for _, rec in results]
     M = assemble_columns(columns, nrows=n)

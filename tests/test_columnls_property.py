@@ -1,0 +1,65 @@
+"""Property test: ColumnLeastSquares against a dense lstsq oracle over random
+sequences of augment and shrink, on matrices with a duplicated column and a
+structurally zero column (so rank-deficient blocks occur)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from saiprec.core import SparseMatrix
+from saiprec.lsq import ColumnLeastSquares
+
+TOL = 1e-10
+
+
+@st.composite
+def problems(draw):
+    n = draw(st.integers(3, 7))
+    entries = draw(
+        st.lists(st.integers(-9, 9), min_size=n * n, max_size=n * n)
+    )
+    dense = np.array(entries, dtype=np.float64).reshape(n, n)
+    dense[np.diag_indices(n)] = 10.0 * n  # every other column set independent
+    dup, src, zero = draw(st.permutations(range(n)))[:3]
+    dense[:, dup] = dense[:, src]
+    dense[:, zero] = 0.0
+    k = draw(st.integers(0, n - 1))
+    return dense, k
+
+
+def dense_residual(dense, k, support, values):
+    e = np.zeros(dense.shape[0])
+    e[k] = 1.0
+    return float(np.linalg.norm(dense[:, support] @ values - e))
+
+
+def subset(data, pool, max_size):
+    return sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1, max_size=max_size)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(problem=problems(), data=st.data())
+def test_augment_and_shrink_match_dense_oracle(problem, data):
+    dense, k = problem
+    n = dense.shape[0]
+    e = np.zeros(n)
+    e[k] = 1.0
+    A = SparseMatrix.from_dense(dense)
+    state = ColumnLeastSquares(A, k, subset(data, list(range(n)), n))
+    steps = data.draw(st.integers(1, 6))
+    for _ in range(steps):
+        support = state.support.tolist()
+        assert support == sorted(support)
+        rest = [j for j in range(n) if j not in support]
+        grow = rest and (len(support) == 1 or data.draw(st.booleans()))
+        if grow:
+            state.augment(subset(data, rest, len(rest)))
+            oracle, *_ = np.linalg.lstsq(dense[:, state.support], e, rcond=None)
+            assert np.allclose(state.solution, oracle, atol=TOL, rtol=0)
+            assert abs(state.residual_norm - dense_residual(dense, k, state.support, oracle)) <= TOL
+        else:
+            before = dict(zip(support, state.solution.tolist()))
+            state.shrink(subset(data, support, len(support) - 1))
+            kept = state.solution
+            assert kept.tolist() == [before[j] for j in state.support.tolist()]
+            assert abs(state.residual_norm - dense_residual(dense, k, state.support, kept)) <= TOL

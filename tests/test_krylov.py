@@ -198,3 +198,16 @@ class TestEdgeCases:
         assert rep.stagnated
         assert not rep.converged
         assert rep.iters < 50 * 4  # stopped early rather than burning the cap
+
+
+class TestRightHandSideValidation:
+    @pytest.mark.parametrize("fn, method", [(bicgstab, "bicgstab"), (gmres_restart, "gmres")])
+    def test_rejects_nan_rhs(self, fn, method):
+        b = np.array([1.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(SparseMatrix.identity(3), b, params=SolveParams(method=method, side="none"))
+
+    @pytest.mark.parametrize("fn, method", [(bicgstab, "bicgstab"), (gmres_restart, "gmres")])
+    def test_rejects_wrong_length_rhs(self, fn, method):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            fn(SparseMatrix.identity(3), np.ones(4), params=SolveParams(method=method, side="none"))

@@ -10,7 +10,7 @@ from saiprec.psai import (
     build_preconditioner,
     psai_tol_column,
 )
-from saiprec.static import make_pattern
+from saiprec.static import make_pattern, static_build
 
 
 class TestAdaptiveDropTolerance:
@@ -234,3 +234,37 @@ class TestSherman4Row:
         assert P.coln(0.2) == 0
         assert P.r_max <= 0.2 + 1e-6
         assert P.spar == pytest.approx(3.36, rel=0.2)
+
+
+class TestZeroColumn:
+    """A structurally zero column k of A gives an empty, flagged column of M."""
+
+    @staticmethod
+    def matrix_with_zero_column(k):
+        rng = np.random.default_rng(7)
+        dense = random_well_conditioned(rng, 8, density=0.5).to_dense()
+        dense[:, k] = 0.0
+        return SparseMatrix.from_dense(dense)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SaiParams(epsilon=0.3, l_max=5, drop_mode="none"),
+            SaiParams(epsilon=0.3, l_max=5, drop_mode="adaptive"),
+            SaiParams(epsilon=0.3, l_max=5, drop_mode="fixed", tol=1e-3),
+        ],
+        ids=lambda p: p.drop_mode,
+    )
+    def test_adaptive_builders(self, params):
+        A = self.matrix_with_zero_column(3)
+        P = build_preconditioner(A, params)
+        assert P.M.column(3)[0].size == 0
+        assert P.records[3].rank_flag
+        assert P.records[3].stalled
+        assert not P.records[3].met_accuracy
+
+    def test_static_build(self):
+        A = self.matrix_with_zero_column(3)
+        P = static_build(A, make_pattern(A, "iplusa", 2))
+        assert P.M.column(3)[0].size == 0
+        assert P.records[3].rank_flag

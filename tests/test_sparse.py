@@ -227,3 +227,22 @@ class TestInvariants:
     def test_vector_purges_zeros(self):
         v = SparseVector(4, np.array([0, 2]), np.array([0.0, 5.0]))
         assert v.nnz == 1 and v.indices[0] == 2
+
+
+class TestNonFinite:
+    def test_loader_rejects_nan_entry(self, tmp_path):
+        path = write_mm(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n",
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructors_reject_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseMatrix.from_dense([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(ValueError, match="non-finite"):
+            SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, bad])
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble_columns([SparseVector(2, [0], [1.0]), SparseVector(2, [1], [bad])])

@@ -1,18 +1,23 @@
-"""Compressed sparse-column matrices, Matrix Market I/O and the structural
+"""Validated sparse-column matrices, Matrix Market I/O and the structural
 operations shared by the preconditioner builders and solvers.
 
-Storage is zero-based CSC with strictly increasing row indices per column and
-no explicitly stored zeros. Matrix Market files are one-based on disk.
+``SparseMatrix`` holds zero-based CSC arrays with strictly increasing row
+indices per column, no explicitly stored zeros and only finite values; its
+products, transpose and densification are scipy's CSC kernels. Every
+constructor keeps a private read-only copy of its input arrays. Matrix Market
+files are one-based on disk.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class MatrixMarketError(ValueError):
@@ -20,7 +25,7 @@ class MatrixMarketError(ValueError):
 
 
 def _as_index_array(indices) -> np.ndarray:
-    arr = np.asarray(indices, dtype=np.int64)
+    arr = np.array(indices, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("index set must be one-dimensional")
     return arr
@@ -65,7 +70,7 @@ class SparseVector:
 
     def __post_init__(self):
         idx = _as_index_array(self.indices)
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.array(self.values, dtype=np.float64)
         if idx.shape != vals.shape:
             raise ValueError("indices and values must have equal length")
         keep = vals != 0.0
@@ -113,9 +118,9 @@ class SparseMatrix:
     __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "_scipy_cache")
 
     def __init__(self, nrows, ncols, col_ptr, row_idx, values):
-        col_ptr = np.asarray(col_ptr, dtype=np.int64)
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
+        col_ptr = np.array(col_ptr, dtype=np.int64)
+        row_idx = np.array(row_idx, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
         if nrows < 0 or ncols < 0:
             raise ValueError("negative dimension")
         if col_ptr.shape != (ncols + 1,):
@@ -167,24 +172,7 @@ class SparseMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise ValueError("column index out of range")
-        # sort by (col, row), then sum runs of identical coordinates
-        order = np.lexsort((rows, cols))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size:
-            new_run = np.empty(rows.size, dtype=bool)
-            new_run[0] = True
-            new_run[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            run_id = np.cumsum(new_run) - 1
-            summed = np.zeros(run_id[-1] + 1)
-            np.add.at(summed, run_id, values)
-            rows, cols = rows[new_run], cols[new_run]
-            values = summed
-            keep = values != 0.0
-            rows, cols, values = rows[keep], cols[keep], values[keep]
-        col_ptr = np.zeros(ncols + 1, dtype=np.int64)
-        np.add.at(col_ptr, cols + 1, 1)
-        np.cumsum(col_ptr, out=col_ptr)
-        return cls(nrows, ncols, col_ptr, rows, values)
+        return cls.from_scipy(sp.coo_matrix((values, (rows, cols)), shape=(nrows, ncols)))
 
     @classmethod
     def from_dense(cls, arr) -> "SparseMatrix":
@@ -222,21 +210,18 @@ class SparseMatrix:
         return self.row_idx[lo:hi], self.values[lo:hi]
 
     def column_vector(self, k) -> SparseVector:
-        idx, vals = self.column(k)
-        return SparseVector(self.nrows, idx.copy(), vals.copy())
+        return SparseVector(self.nrows, *self.column(k))
 
     def column_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols))
-        cols = np.repeat(np.arange(self.ncols), np.diff(self.col_ptr))
-        out[self.row_idx, cols] = self.values
-        return out
+        # C order: a Fortran-ordered result would change the summation order
+        # of reductions such as ``.sum(axis=0)`` in callers
+        return self.to_scipy().toarray(order="C")
 
     def to_scipy(self):
-        import scipy.sparse as sp
-
+        """The matrix as scipy CSC (cached; its arrays must not be modified)."""
         if self._scipy_cache is None:
             self._scipy_cache = sp.csc_matrix(
                 (self.values, self.row_idx, self.col_ptr), shape=self.shape
@@ -255,7 +240,8 @@ class SparseMatrix:
     # numerical kernels
     # ------------------------------------------------------------------
     def one_norm(self) -> float:
-        """Maximum absolute column sum."""
+        """Maximum absolute column sum, each column summed sequentially (scipy's
+        pairwise column sums can differ in the last bit and move drop tolerances)."""
         if self.ncols == 0:
             raise ValueError("one_norm of an empty matrix")
         if self.nnz == 0:
@@ -267,24 +253,13 @@ class SparseMatrix:
 
     def matvec(self, x) -> np.ndarray:
         """Product ``A @ x`` for a dense array or SparseVector; dense result."""
-        out = np.zeros(self.nrows)
-        if isinstance(x, SparseVector):
-            if x.dim != self.ncols:
-                raise ValueError("dimension mismatch")
-            for j, v in zip(x.indices.tolist(), x.values.tolist()):
-                lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-                out[self.row_idx[lo:hi]] += v * self.values[lo:hi]
-            return out
-        x = np.asarray(x, dtype=np.float64)
+        x = x.to_dense() if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
             raise ValueError("dimension mismatch")
-        cols = np.repeat(np.arange(self.ncols), np.diff(self.col_ptr))
-        np.add.at(out, self.row_idx, self.values * x[cols])
-        return out
+        return self.to_scipy() @ x
 
     def transpose(self) -> "SparseMatrix":
-        cols = np.repeat(np.arange(self.ncols, dtype=np.int64), np.diff(self.col_ptr))
-        return SparseMatrix.from_coo(self.ncols, self.nrows, cols, self.row_idx, self.values)
+        return SparseMatrix.from_scipy(self.to_scipy().T)
 
 
 def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
@@ -331,6 +306,7 @@ def assemble_columns(columns, nrows=None) -> SparseMatrix:
 # ----------------------------------------------------------------------
 
 _SYMMETRIES = ("general", "symmetric", "skew-symmetric")
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def _open_text(path):
@@ -364,31 +340,25 @@ def load_matrix_market(path) -> SparseMatrix:
             line = fh.readline()
         try:
             nrows, ncols, nnz = (int(t) for t in line.split())
-        except Exception as exc:
+        except ValueError as exc:
             raise MatrixMarketError(f"malformed size line: {line.strip()!r}") from exc
+        if min(nrows, ncols, nnz) < 0:
+            raise MatrixMarketError(f"negative count in size line: {line.strip()!r}")
 
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz)
-        count = 0
-        for line in fh:
-            if not line.strip() or line.startswith("%"):
-                continue
-            toks = line.split()
-            if len(toks) != 3:
-                raise MatrixMarketError(f"malformed entry: {line.strip()!r}")
-            if count >= nnz:
-                raise MatrixMarketError("more entries than declared")
+        with warnings.catch_warnings():
+            # an empty body is valid when nnz == 0; the count check below decides
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             try:
-                i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
+                body = np.loadtxt(fh, dtype=_ENTRY, comments="%", ndmin=1)
             except ValueError as exc:
-                raise MatrixMarketError(f"malformed entry: {line.strip()!r}") from exc
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(f"entry index out of bounds: {line.strip()!r}")
-            rows[count], cols[count], vals[count] = i - 1, j - 1, v
-            count += 1
-        if count != nnz:
-            raise MatrixMarketError(f"declared {nnz} entries, found {count}")
+                raise MatrixMarketError(f"malformed entry: {exc}") from exc
+    if body.size != nnz:
+        raise MatrixMarketError(f"declared {nnz} entries, found {body.size}")
+    rows, cols, vals = body["i"] - 1, body["j"] - 1, body["v"]
+    bad = np.flatnonzero((rows < 0) | (rows >= nrows) | (cols < 0) | (cols >= ncols))
+    if bad.size:
+        b = body[bad[0]]
+        raise MatrixMarketError(f"entry index out of bounds: {b['i']} {b['j']}")
 
     if symmetry != "general":
         off = rows != cols

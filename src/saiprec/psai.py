@@ -287,6 +287,8 @@ def build_preconditioner(
     """
     if A.nrows != A.ncols:
         raise ValueError("square matrix required")
+    if 0 in A.shape:
+        raise ValueError(f"cannot build for an empty {A.nrows}x{A.ncols} matrix")
     start = time.perf_counter()
     operand = A.transpose() if params.side == "left" else A
     a_norm = operand.one_norm()

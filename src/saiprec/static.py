@@ -9,6 +9,7 @@ column's achieved residual norm.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._parallel import map_columns
-from .core import SparseMatrix, SparseVector, assemble_columns
+from .core import SparseMatrix, assemble_columns
+from .diagnostics import _residual_matrix
 from .lsq import ColumnLeastSquares
 from .psai import ColumnBuildRecord, Preconditioner
 
@@ -59,11 +61,6 @@ class PatternMatrix:
                    csc.indices.astype(np.int64), kind)
 
 
-def _bool_csc(A: SparseMatrix):
-    S = sp.csc_matrix((np.ones_like(A.values), A.row_idx, A.col_ptr), shape=A.shape)
-    return S
-
-
 def _capped_matmul(L, R, cap):
     out = L @ R
     if out.nnz > cap:
@@ -83,7 +80,8 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
         raise ValueError(f"kind must be one of {PATTERN_KINDS}")
     if k < 1:
         raise ValueError("power must be at least 1")
-    S = _bool_csc(A)
+    S = A.to_scipy().copy()
+    S.data[:] = 1.0
     eye = sp.identity(A.nrows, format="csc")
     if kind == "iplusa":
         base = (eye + S).tocsc()
@@ -127,6 +125,8 @@ def _static_column(k, A, col_ptr, row_idx):
 
 def static_build(A: SparseMatrix, pattern: PatternMatrix, threads: int = 1) -> Preconditioner:
     """Solve min ||A(:, S^k) m - e_k||_2 once per column on the fixed pattern."""
+    if 0 in A.shape:
+        raise ValueError(f"cannot build for an empty {A.nrows}x{A.ncols} matrix")
     if (pattern.nrows, pattern.ncols) != A.shape:
         raise ValueError("pattern dimensions do not match the matrix")
     start = time.perf_counter()
@@ -158,48 +158,37 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
     Post-drop residuals are recomputed; the result is marked filtered.
     """
     start = time.perf_counter()
-    a_norm = P.a_one_norm
-    n = P.M.ncols
-    columns = []
-    records = []
-    for k in range(n):
-        idx, vals = P.M.column(k)
-        rec = P.records[k]
-        eps_k = max(rec.pre_drop_residual, floor)
-        nnz_k = max(idx.size, 1)
-        tol_k = eps_k / (nnz_k * a_norm)
-        keep = np.abs(vals) > tol_k
-        guard = False
-        if idx.size and not keep.any():
-            keep[int(np.argmax(np.abs(vals)))] = True
-            guard = True
-        new_idx, new_vals = idx[keep], vals[keep]
-        vec = SparseVector(P.M.nrows, new_idx.copy(), new_vals.copy())
-        residual = np.zeros(A.nrows)
-        for j, v in zip(new_idx.tolist(), new_vals.tolist()):
-            ridx, rvals = A.column(j)
-            residual[ridx] += v * rvals
-        residual[k] -= 1.0
-        records.append(
-            ColumnBuildRecord(
-                k=k,
-                loops_used=rec.loops_used,
-                pre_drop_residual=rec.pre_drop_residual,
-                post_drop_residual=float(np.linalg.norm(residual)),
-                nnz_final=vec.nnz,
-                met_accuracy=rec.met_accuracy,
-                rank_flag=rec.rank_flag,
-                guard_flag=guard,
-                tol_min=tol_k,
-                tol_max=tol_k,
-            )
+    M = P.M
+    counts = M.column_nnz()
+    eps = np.maximum([rec.pre_drop_residual for rec in P.records], floor)
+    tol = eps / (np.maximum(counts, 1) * P.a_one_norm)
+    magnitude = np.abs(M.values)
+    keep = magnitude > np.repeat(tol, counts)
+    kept_before = np.concatenate(([0], np.cumsum(keep)))[M.col_ptr]
+    guard = (counts > 0) & (np.diff(kept_before) == 0)
+    for k in np.flatnonzero(guard):
+        lo, hi = M.col_ptr[k], M.col_ptr[k + 1]
+        keep[lo + np.argmax(magnitude[lo:hi])] = True
+    col_ptr = np.concatenate(([0], np.cumsum(keep)))[M.col_ptr]
+    M_d = SparseMatrix(M.nrows, M.ncols, col_ptr, M.row_idx[keep], M.values[keep])
+    R = _residual_matrix(A, M_d)
+    residuals = np.sqrt(np.asarray(R.power(2).sum(axis=0)).ravel())
+    records = [
+        dataclasses.replace(
+            rec,
+            post_drop_residual=float(residuals[k]),
+            nnz_final=int(col_ptr[k + 1] - col_ptr[k]),
+            guard_flag=bool(guard[k]),
+            tol_min=float(tol[k]),
+            tol_max=float(tol[k]),
         )
-        columns.append(vec)
+        for k, rec in enumerate(P.records)
+    ]
     return Preconditioner(
-        M=assemble_columns(columns, nrows=P.M.nrows),
+        M=M_d,
         records=records,
         params=P.params,
-        a_one_norm=a_norm,
+        a_one_norm=P.a_one_norm,
         a_nnz=P.a_nnz,
         build_time=time.perf_counter() - start,
         origin=P.origin,

@@ -268,3 +268,22 @@ class TestZeroColumn:
         P = static_build(A, make_pattern(A, "iplusa", 2))
         assert P.M.column(3)[0].size == 0
         assert P.records[3].rank_flag
+
+
+class TestEmptyMatrix:
+    """A 0x0 matrix loads, but both builders reject it before any work."""
+
+    @staticmethod
+    def empty_matrix(tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
+        return load_matrix_market(path)
+
+    def test_build_preconditioner(self, tmp_path):
+        with pytest.raises(ValueError, match="empty 0x0 matrix"):
+            build_preconditioner(self.empty_matrix(tmp_path), SaiParams(epsilon=0.3, l_max=5))
+
+    def test_static_build(self, tmp_path):
+        A = self.empty_matrix(tmp_path)
+        with pytest.raises(ValueError, match="empty 0x0 matrix"):
+            static_build(A, make_pattern(A, "iplusa", 1))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -79,12 +81,20 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n",
+            "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
         ],
     )
     def test_rejects_bad_files(self, tmp_path, text):
         path = write_mm(tmp_path, text)
         with pytest.raises(MatrixMarketError):
             load_matrix_market(path)
+
+    def test_empty_body_loads_without_warning(self, tmp_path):
+        path = write_mm(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 2 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = load_matrix_market(path)
+        assert A.shape == (2, 2) and A.nnz == 0
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -246,3 +256,16 @@ class TestNonFinite:
             SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, bad])
         with pytest.raises(ValueError, match="non-finite"):
             assemble_columns([SparseVector(2, [0], [1.0]), SparseVector(2, [1], [bad])])
+
+
+class TestConstructorsCopyInputs:
+    def test_caller_arrays_stay_writable_and_detached(self):
+        idx, vals, col_ptr = np.array([0, 2]), np.array([1.0, 2.0]), np.array([0, 2])
+        v = SparseVector(3, idx, vals)
+        p = ColumnPattern(idx)
+        A = SparseMatrix(3, 1, col_ptr, idx, vals)
+        idx[0], vals[0], col_ptr[1] = 1, 5.0, 1
+        assert v.indices.tolist() == [0, 2] and v.values.tolist() == [1.0, 2.0]
+        assert p.indices.tolist() == [0, 2]
+        assert A.col_ptr.tolist() == [0, 2]
+        assert A.row_idx.tolist() == [0, 2] and A.values.tolist() == [1.0, 2.0]

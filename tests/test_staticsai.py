@@ -175,3 +175,35 @@ class TestPostfilter:
         F = postfilter(A, P, floor=0.1)
         idx, vals = F.M.column(1)
         assert idx.tolist() == [1]
+
+
+class TestPostfilterGuard:
+    """The guard and empty-column paths, against a dense residual oracle."""
+
+    def test_guard_and_empty_column(self):
+        dense_a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, 4.0]])
+        A = SparseMatrix.from_dense(dense_a)  # ||A||_1 = 4
+        dense_m = np.zeros((3, 3))
+        dense_m[:2, 0] = [0.01, -0.012]  # tol 0.1 / (2 * 4) = 0.0125: all dropped
+        dense_m[2, 2] = 0.25  # column 1 stays empty
+        M = SparseMatrix.from_dense(dense_m)
+        from saiprec.psai import ColumnBuildRecord, Preconditioner
+
+        records = [
+            ColumnBuildRecord(k, 0, 0.05, 0.05, int(n), None)
+            for k, n in enumerate(M.column_nnz())
+        ]
+        P = Preconditioner(
+            M=M, records=records, params=None, a_one_norm=4.0, a_nnz=A.nnz, origin="static:test"
+        )
+        F = postfilter(A, P, floor=0.1)
+        expected = np.zeros((3, 3))
+        expected[1, 0] = -0.012  # the guard keeps the largest entry
+        expected[2, 2] = 0.25
+        assert np.array_equal(F.M.to_dense(), expected)
+        assert [r.guard_flag for r in F.records] == [True, False, False]
+        assert [r.nnz_final for r in F.records] == [1, 0, 1]
+        assert F.records[1].post_drop_residual == 1.0
+        oracle = np.linalg.norm(dense_a @ expected - np.eye(3), axis=0)
+        got = [r.post_drop_residual for r in F.records]
+        assert np.allclose(got, oracle, rtol=1e-14, atol=0)

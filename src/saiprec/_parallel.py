@@ -3,11 +3,15 @@
 Columns carry lots of small numpy calls, so threads serialize on the GIL;
 worker processes give real speedup. The shared arguments ship once per worker
 through the pool initializer, results come back in column order and are
-deposited by index, so output is bit-identical for any worker count.
+deposited by index, so output is bit-identical for any worker count. Each
+worker runs BLAS on one thread: the workers already fill the cores, and
+threaded BLAS inside each of them oversubscribes the CPU.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 _MIN_PARALLEL_COLUMNS = 128  # below this, process startup dominates
@@ -16,8 +20,35 @@ _worker_fn = None
 _worker_args: tuple = ()
 
 
+def _openblas_functions(stem: str) -> list:
+    """The ``<prefix>_<stem><suffix>`` entry points of every OpenBLAS loaded
+    in this process (plain and scipy-openblas builds, 32- and 64-bit
+    integer interfaces); empty where the loaded libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapping of a since-deleted file
+            continue
+        for prefix in ("openblas", "scipy_openblas"):
+            for suffix in ("", "64_"):
+                fn = getattr(lib, f"{prefix}_{stem}{suffix}", None)
+                if fn is not None:
+                    found.append(fn)
+    return found
+
+
 def _init(fn, args):
     global _worker_fn, _worker_args
+    for set_threads in _openblas_functions("set_num_threads"):
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
     _worker_fn = fn
     _worker_args = args
 

@@ -262,6 +262,15 @@ class SparseMatrix:
         return SparseMatrix.from_scipy(self.to_scipy().T)
 
 
+def _column_entries(A: SparseMatrix, cols):
+    """Row indices and values of the (non-empty) column list ``cols`` of A,
+    concatenated in that order, and the number of entries of each column."""
+    columns = [A.column(j) for j in cols]
+    rows = np.concatenate([idx for idx, _ in columns])
+    vals = np.concatenate([v for _, v in columns])
+    return rows, vals, np.array([idx.size for idx, _ in columns])
+
+
 def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
     """Dense block ``A(R, J)`` where ``R`` is the union of the row supports of
     the columns ``J`` (plus any ``extra_rows``), together with ``R`` itself.
@@ -273,14 +282,13 @@ def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
         raise ValueError("empty column pattern")
     if pattern.indices[-1] >= A.ncols:
         raise ValueError("pattern index out of range")
-    columns = [A.column(j) for j in pattern.indices]
-    pieces = [idx for idx, _ in columns]
-    if len(extra_rows):
-        pieces.append(_as_index_array(extra_rows))
-    rows = np.unique(np.concatenate(pieces))
+    extra = _as_index_array(extra_rows)
+    if extra.size and (extra.min() < 0 or extra.max() >= A.nrows):
+        raise ValueError("extra row index out of range")
+    idx, vals, counts = _column_entries(A, pattern.indices)
+    rows, local = np.unique(np.concatenate([idx, extra]), return_inverse=True)
     block = np.zeros((rows.size, len(pattern)))
-    for local_j, (idx, vals) in enumerate(columns):
-        block[np.searchsorted(rows, idx), local_j] = vals
+    block[local[: idx.size], np.repeat(np.arange(len(pattern)), counts)] = vals
     return block, ColumnPattern(rows)
 
 

@@ -39,8 +39,13 @@ class GuaranteeCheck:
 
 
 def _residual_matrix(A: SparseMatrix, M: SparseMatrix):
-    R = (A.to_scipy() @ M.to_scipy()).tocsc() - sp.identity(A.nrows, format="csc")
-    return R.tocsc()
+    return (A.to_scipy() @ M.to_scipy()).tocsc() - sp.identity(A.nrows, format="csc")
+
+
+def _column_norms(R) -> np.ndarray:
+    """2-norm of every column of the sparse matrix R."""
+    return np.sqrt(np.asarray(R.power(2).sum(axis=0)).ravel())
+
 
 def _one_norm(S) -> float:
     if S.nnz == 0:
@@ -84,7 +89,7 @@ def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,
     operand = A.transpose() if P.side == "left" else A
     M = P.M.transpose() if P.side == "left" else P.M
     R = _residual_matrix(operand, M)
-    dense_cols = np.sqrt(np.asarray(R.power(2).sum(axis=0)).ravel())
+    dense_cols = _column_norms(R)
     p_d = _max_col_nnz(R)
     if reference is not None:
         M_ref = reference.M.transpose() if reference.side == "left" else reference.M
@@ -158,12 +163,12 @@ def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
 
     # mixed-norm version: 2-norm residual columns <= eps < 0.5 and 1-norm
     # ||f_k||_1 <= eps/||A||_1 imply 2-norm dropped residual columns <= 2 eps
-    col_res_2 = np.sqrt(np.asarray(R.power(2).sum(axis=0)).ravel())
+    col_res_2 = _column_norms(R)
+    rd_cols_2 = _column_norms(R_d)
     hyp5 = bool(np.all(col_res_2 <= epsilon) and epsilon < 0.5 and np.all(f_cols_1 <= epsilon / a_norm))
     passed5 = None
     details5 = {"max_col_res_2": float(col_res_2.max()) if col_res_2.size else 0.0}
     if hyp5:
-        rd_cols_2 = np.sqrt(np.asarray(R_d.power(2).sum(axis=0)).ravel())
         passed5 = bool(np.all(rd_cols_2 <= 2.0 * epsilon + 1e-12))
         details5["max_dropped_col_res_2"] = float(rd_cols_2.max())
     checks.append(GuaranteeCheck("residual_doubling_columns_mixed", hyp5, passed5, details5))
@@ -172,7 +177,6 @@ def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
     # matrices, ||AM-I||_1 <= sqrt(p) eps and ||AM_d-I||_1 <= 2 sqrt(p_d) eps;
     # when those bounds are < 1 the factors are nonsingular with relative
     # inverse-error bounds of the same size
-    rd_cols_2 = np.sqrt(np.asarray(R_d.power(2).sum(axis=0)).ravel())
     hyp_gh = bool(np.all(col_res_2 <= epsilon) and np.all(rd_cols_2 <= 2.0 * epsilon + 1e-12))
     passed_gh = None
     p = _max_col_nnz(R)

@@ -1,11 +1,13 @@
 """Adaptive sparse-approximate-inverse construction.
 
-Two column builders share one outer loop: pattern growth by the structure of
-successive powers applied to the unit vector, with a per-column least-squares
-solve after every growth step. The plain builder never drops; the dropping
-builder removes small entries after each solve, using either a fixed tolerance
-or the adaptive criterion eps / (nnz(m_k) * ||A||_1), which keeps the dropped
-mass small enough that a column meeting the accuracy target eps still satisfies
+Two column builders share one outer loop: the pattern of column k grows by the
+numerical nonzeros of the powers A^l e_k, kept as sparse vectors, with a
+per-column least-squares solve after every growth step. A column stops early
+(stalled) once A maps its reached index set into itself, because no index can
+be new again. The plain builder never drops; the dropping builder removes small
+entries after each solve, using either a fixed tolerance or the adaptive
+criterion eps / (nnz(m_k) * ||A||_1), which keeps the dropped mass small enough
+that a column meeting the accuracy target eps still satisfies
 ||A m_d - e_k||_2 <= 2 eps after dropping.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import map_columns
-from .core import SparseMatrix, assemble_columns
+from .core import SparseMatrix, _column_entries, assemble_columns
 from .lsq import ColumnLeastSquares
 
 DROP_MODES = ("none", "adaptive", "fixed")
@@ -143,47 +145,24 @@ def adaptive_drop_tolerance(epsilon: float, nnz_mk: int, a_one_norm: float) -> f
     return epsilon / (nnz_mk * a_one_norm)
 
 
-class _PowerPattern:
-    """Tracks the support growth of a_k^(l+1) = A a_k^l.
+def _power_step(A: SparseMatrix, idx: np.ndarray, vals: np.ndarray):
+    """One step v <- A v / max|A v| of a sparse power vector (support ``idx``,
+    values ``vals``); returns the numerical nonzeros of the result.
 
-    Pattern growth follows the numerical nonzeros of the power vector, exactly
-    as the algorithms prescribe. A structural closure (powers of |A| applied
-    to the support, immune to cancellation) detects when no index can ever be
-    new again, so a stalled column can stop early with an identical result.
+    The products are summed in column order, as scipy's CSC matvec sums them,
+    and divided by the peak before zeros are selected, so the support is the
+    one the dense product would give, cancellations and underflow included.
     """
-
-    def __init__(self, A: SparseMatrix, k: int):
-        self._A = A.to_scipy()
-        self._A_abs = abs(self._A)
-        n = A.nrows
-        self._vec = np.zeros(n)
-        self._vec[k] = 1.0
-        self._cum = np.zeros(n, dtype=bool)
-        self._cum[k] = True
-        self._struct = self._vec.copy()
-        self._struct_cum = self._cum.copy()
-        self.exhausted = False
-
-    def advance(self) -> np.ndarray:
-        """Next power step; returns the indices newly entering the pattern."""
-        dense = self._A @ self._vec
-        peak = np.max(np.abs(dense))
-        if peak > 0.0:
-            dense /= peak  # structure only; rescaling guards against overflow
-        self._vec = dense
-        support = np.nonzero(dense)[0]
-        new = support[~self._cum[support]]
-        self._cum[new] = True
-
-        struct_next = (self._A_abs @ self._struct) > 0.0
-        grew = bool(np.any(struct_next & ~self._struct_cum))
-        self._struct = struct_next.astype(np.float64)
-        self._struct_cum |= struct_next
-        if not grew and np.array_equal(self._struct_cum, self._cum):
-            # the structural reach is closed and the numerical pattern
-            # already covers it: nothing can ever be new again
-            self.exhausted = True
-        return new
+    if idx.size == 0:
+        return idx, vals
+    rows, entries, counts = _column_entries(A, idx)
+    support, slot = np.unique(rows, return_inverse=True)
+    out = np.bincount(slot, weights=entries * np.repeat(vals, counts))
+    peak = np.max(np.abs(out), initial=0.0)
+    if peak > 0.0:
+        out /= peak  # structure only; rescaling guards against overflow
+    nonzero = out != 0.0
+    return support[nonzero], out[nonzero]
 
 
 class _DropStep:
@@ -223,18 +202,23 @@ def _grow_column(A: SparseMatrix, k: int, params: SaiParams, drop: _DropStep | N
     epsilon, l_max loops are used, or the pattern can no longer grow."""
     eps = params.epsilon
     state = ColumnLeastSquares(A, k, [k])
-    power = _PowerPattern(A, k)
+    reached = idx = np.array([k], dtype=np.int64)
+    vals = np.ones(1)
     l = 0
     stalled = False
     r_solve = state.residual_norm
     while r_solve > eps and l < params.l_max:
-        new = power.advance()
-        if power.exhausted and new.size == 0:
+        idx, vals = _power_step(A, idx, vals)
+        new = np.setdiff1d(idx, reached, assume_unique=True)
+        # stalled: A maps the reached set into itself, so no index can ever
+        # be new again
+        if new.size == 0 and np.isin(_column_entries(A, reached)[0], reached).all():
             stalled = True
             break
         l += 1
         if new.size == 0:
             continue
+        reached = np.union1d(reached, new)
         state.augment(new)
         r_solve = state.residual_norm
         if drop is not None:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from ._parallel import map_columns
 from .core import SparseMatrix, assemble_columns
-from .diagnostics import _residual_matrix
+from .diagnostics import _column_norms, _residual_matrix
 from .lsq import ColumnLeastSquares
 from .psai import ColumnBuildRecord, Preconditioner
 
@@ -171,8 +171,7 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
         keep[lo + np.argmax(magnitude[lo:hi])] = True
     col_ptr = np.concatenate(([0], np.cumsum(keep)))[M.col_ptr]
     M_d = SparseMatrix(M.nrows, M.ncols, col_ptr, M.row_idx[keep], M.values[keep])
-    R = _residual_matrix(A, M_d)
-    residuals = np.sqrt(np.asarray(R.power(2).sum(axis=0)).ravel())
+    residuals = _column_norms(_residual_matrix(A, M_d))
     records = [
         dataclasses.replace(
             rec,

@@ -189,6 +189,11 @@ class TestGatherSubmatrix:
         with pytest.raises(ValueError):
             gather_submatrix(SparseMatrix.identity(3), [])
 
+    @pytest.mark.parametrize("extra", [[10], [3], [-1]])
+    def test_out_of_range_extra_rows_rejected(self, extra):
+        with pytest.raises(ValueError, match="extra row index out of range"):
+            gather_submatrix(SparseMatrix.identity(3), [0], extra_rows=extra)
+
 
 class TestTransposeAssemble:
     def test_transpose_involution(self):

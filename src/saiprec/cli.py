@@ -347,26 +347,18 @@ def _sweep_cell(A, sai: SaiParams, spec: ExperimentSpec):
 
 def cmd_sweep(spec: ExperimentSpec) -> int:
     _require_matrices(spec)
-    values = [("scale", s) for s in spec.scalings]
-    values += [("fixed", t) for t in spec.fixed_tols]
-    if not values:
+    base = dict(epsilon=spec.sai.epsilon, l_max=spec.sai.l_max, side=spec.sai.side)
+    # scale 0 means no dropping; SaiParams rejects a negative scale
+    cells = [("scale", s, SaiParams(**base, drop_mode="adaptive", drop_scale=s) if s != 0
+              else SaiParams(**base, drop_mode="none")) for s in spec.scalings]
+    cells += [("fixed", t, SaiParams(**base, drop_mode="fixed", tol=t)) for t in spec.fixed_tols]
+    if not cells:
         raise SystemExit("empty sweep: give --scalings or --fixed-tols")
     rows = []
     for path in spec.matrices:
         name = Path(path).stem.replace(".mtx", "")
         A = load_matrix_market(path)
-        for mode, value in values:
-            if mode == "scale":
-                sai = SaiParams(
-                    epsilon=spec.sai.epsilon, l_max=spec.sai.l_max,
-                    drop_mode="adaptive" if value > 0 else "none",
-                    drop_scale=value if value > 0 else 1.0, side=spec.sai.side,
-                )
-            else:
-                sai = SaiParams(
-                    epsilon=spec.sai.epsilon, l_max=spec.sai.l_max,
-                    drop_mode="fixed", tol=value, side=spec.sai.side,
-                )
+        for mode, value, sai in cells:
             P, iters, daggers, nonsingular, tol_min, tol_max = _sweep_cell(A, sai, spec)
             rows.append([
                 name, mode, value, P.spar, P.build_time,

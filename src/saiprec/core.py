@@ -285,11 +285,17 @@ def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
     extra = _as_index_array(extra_rows)
     if extra.size and (extra.min() < 0 or extra.max() >= A.nrows):
         raise ValueError("extra row index out of range")
-    idx, vals, counts = _column_entries(A, pattern.indices)
-    rows, local = np.unique(np.concatenate([idx, extra]), return_inverse=True)
-    block = np.zeros((rows.size, len(pattern)))
-    block[local[: idx.size], np.repeat(np.arange(len(pattern)), counts)] = vals
+    block, rows = _gather(A, pattern.indices, extra)
     return block, ColumnPattern(rows)
+
+
+def _gather(A: SparseMatrix, cols: np.ndarray, extra_rows: np.ndarray):
+    """Unchecked :func:`gather_submatrix` for sorted in-range ``cols``; R is a plain array."""
+    idx, vals, counts = _column_entries(A, cols)
+    rows, local = np.unique(np.concatenate([idx, extra_rows]), return_inverse=True)
+    block = np.zeros((rows.size, cols.size))
+    block[local[: idx.size], np.repeat(np.arange(cols.size), counts)] = vals
+    return block, rows
 
 
 def assemble_columns(columns, nrows=None) -> SparseMatrix:

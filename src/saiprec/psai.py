@@ -1,14 +1,14 @@
 """Adaptive sparse-approximate-inverse construction.
 
-Two column builders share one outer loop: the pattern of column k grows by the
-numerical nonzeros of the powers A^l e_k, kept as sparse vectors, with a
-per-column least-squares solve after every growth step. A column stops early
-(stalled) once A maps its reached index set into itself, because no index can
-be new again. The plain builder never drops; the dropping builder removes small
-entries after each solve, using either a fixed tolerance or the adaptive
-criterion eps / (nnz(m_k) * ||A||_1), which keeps the dropped mass small enough
-that a column meeting the accuracy target eps still satisfies
-||A m_d - e_k||_2 <= 2 eps after dropping.
+Two column builders share one loop: the pattern of column k grows by the
+numerical nonzeros of the powers A^l e_k, kept as sparse vectors, and each
+growth step ends with one QR solve of the column's least-squares problem. A
+column stops early (stalled) once A maps its reached index set into itself, as
+no index can be new again. The plain builder never drops; the dropping builder
+removes small entries after each solve (the block is regathered, not factored)
+by a fixed tolerance or the adaptive criterion eps / (nnz(m_k) * ||A||_1), which
+keeps the dropped mass small enough that a column meeting the accuracy target
+eps still satisfies ||A m_d - e_k||_2 <= 2 eps after dropping.
 """
 
 from __future__ import annotations
@@ -165,47 +165,18 @@ def _power_step(A: SparseMatrix, idx: np.ndarray, vals: np.ndarray):
     return support[nonzero], out[nonzero]
 
 
-class _DropStep:
-    """Drop step run after every solve of the dropping builder.
-
-    Removes the entries at or below the fixed tolerance or the (scaled)
-    adaptive criterion, never empties the column (the guard keeps the entry
-    of largest magnitude) and remembers the range of criteria it computed.
-    """
-
-    def __init__(self, params: SaiParams, a_one_norm: float):
-        self.params = params
-        self.a_one_norm = a_one_norm
-        self.guard = False
-        self.tols: list[float] = []
-
-    def __call__(self, state: ColumnLeastSquares):
-        sol = state.solution
-        criterion = adaptive_drop_tolerance(self.params.epsilon, sol.size, self.a_one_norm)
-        self.tols.append(criterion)
-        if self.params.drop_mode == "adaptive":
-            threshold = self.params.drop_scale * criterion
-        else:
-            threshold = self.params.tol
-        small = np.abs(sol) <= threshold
-        if small.all():
-            # never emit an empty column: keep the entry of largest magnitude
-            small[int(np.argmax(np.abs(sol)))] = False
-            self.guard = True
-        if small.any():
-            state.shrink(state.support[small])
-
-
-def _grow_column(A: SparseMatrix, k: int, params: SaiParams, drop: _DropStep | None):
-    """Shared outer loop: grow the pattern by one power step, re-solve, and
-    run ``drop`` (if any) after each solve, until the pre-drop residual meets
-    epsilon, l_max loops are used, or the pattern can no longer grow."""
+def _grow_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float | None):
+    """Shared outer loop: grow the pattern by one power step and re-solve until
+    the pre-drop residual meets epsilon, l_max loops are used, or the pattern
+    can no longer grow. Given ``a_one_norm``, every solve is followed by a drop
+    step that never empties the column (the guard keeps its largest entry)."""
     eps = params.epsilon
     state = ColumnLeastSquares(A, k, [k])
     reached = idx = np.array([k], dtype=np.int64)
     vals = np.ones(1)
     l = 0
-    stalled = False
+    stalled = guard = False
+    tols = []
     r_solve = state.residual_norm
     while r_solve > eps and l < params.l_max:
         idx, vals = _power_step(A, idx, vals)
@@ -221,10 +192,18 @@ def _grow_column(A: SparseMatrix, k: int, params: SaiParams, drop: _DropStep | N
         reached = np.union1d(reached, new)
         state.augment(new)
         r_solve = state.residual_norm
-        if drop is not None:
-            drop(state)
+        if a_one_norm is None:
+            continue
+        sol = state.solution
+        tols.append(adaptive_drop_tolerance(eps, sol.size, a_one_norm))
+        threshold = params.drop_scale * tols[-1] if params.drop_mode == "adaptive" else params.tol
+        small = np.abs(sol) <= threshold
+        if small.all():
+            small[int(np.argmax(np.abs(sol)))] = False
+            guard = True
+        if small.any():
+            state.shrink(state.support[small])
     vec = state.solution_vector()
-    tols = drop.tols if drop is not None else []
     return vec, ColumnBuildRecord(
         k=k,
         loops_used=l,
@@ -233,7 +212,7 @@ def _grow_column(A: SparseMatrix, k: int, params: SaiParams, drop: _DropStep | N
         nnz_final=vec.nnz,
         met_accuracy=r_solve <= eps,
         rank_flag=state.rank_flag,
-        guard_flag=drop is not None and drop.guard,
+        guard_flag=guard,
         stalled=stalled,
         tol_min=min(tols) if tols else None,
         tol_max=max(tols) if tols else None,
@@ -249,7 +228,7 @@ def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: floa
     """One column of the dropping builder (adaptive or fixed tolerance)."""
     if params.drop_mode == "none":
         raise ValueError("psai_tol_column needs a dropping mode")
-    return _grow_column(A, k, params, _DropStep(params, a_one_norm))
+    return _grow_column(A, k, params, a_one_norm)
 
 
 def _build_column(k: int, A: SparseMatrix, params: SaiParams, a_one_norm: float):

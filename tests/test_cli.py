@@ -154,6 +154,22 @@ class TestSweepCommand:
         assert [r["mode"] for r in rows] == ["fixed", "fixed"]
 
 
+    @pytest.mark.parametrize("via_spec", [False, True])
+    def test_negative_scaling_rejected(self, demo_matrix, tmp_path, via_spec):
+        _, path = demo_matrix
+        out = tmp_path / "out"
+        argv = ["sweep", "--matrix", str(path), "--out", str(out), "--threads", "1"]
+        if via_spec:
+            spec_path = tmp_path / "exp.spec"
+            spec_path.write_text("[sweep]\nscalings = -0.5\n")
+            argv += ["--spec", str(spec_path)]
+        else:
+            argv.append("--scalings=-0.5")
+        with pytest.raises(ValueError, match="drop_scale must be nonnegative"):
+            main(argv)
+        assert not (out / "sweep.csv").exists()
+
+
 class TestStaticCommand:
     def test_paired_rows(self, demo_matrix, tmp_path):
         _, path = demo_matrix

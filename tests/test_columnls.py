@@ -121,6 +121,17 @@ class TestAugment:
                 assert state.residual_norm <= prev + tol
                 prev = state.residual_norm
 
+    def test_index_already_in_pattern_rejected(self):
+        state = ColumnLeastSquares(SparseMatrix.identity(4), 0, [0, 2])
+        with pytest.raises(ValueError, match="disjoint"):
+            state.augment([1, 2])
+
+    @pytest.mark.parametrize("bad", [4, 9])
+    def test_index_out_of_range_rejected(self, bad):
+        state = ColumnLeastSquares(SparseMatrix.identity(4), 0, [0])
+        with pytest.raises(ValueError, match="out of range"):
+            state.augment([1, bad])
+
     def test_full_pattern_exact(self):
         rng = np.random.default_rng(55)
         for _ in range(10):
@@ -170,6 +181,21 @@ class TestShrink:
         state.shrink([1])
         for c, v in zip(state.support.tolist(), state.solution.tolist()):
             assert v == kept[c]
+
+    def test_index_not_in_pattern_rejected(self):
+        state = ColumnLeastSquares(SparseMatrix.identity(4), 0, [0, 1])
+        with pytest.raises(ValueError, match="present in the pattern"):
+            state.shrink([1, 3])
+
+    def test_duplicate_indices_remove_once(self):
+        rng = np.random.default_rng(65)
+        A = random_well_conditioned(rng, 6, density=0.8)
+        once = ColumnLeastSquares(A, 2, [0, 1, 2, 3]).shrink([1])
+        twice = ColumnLeastSquares(A, 2, [0, 1, 2, 3]).shrink([1, 1])
+        assert np.array_equal(twice.support, once.support)
+        assert twice.solution.tobytes() == once.solution.tobytes()
+        assert twice.residual_norm == once.residual_norm
+        assert twice.rank_flag == once.rank_flag
 
     def test_cannot_remove_all(self):
         state = ColumnLeastSquares(SparseMatrix.identity(2), 0, [0])

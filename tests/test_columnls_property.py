@@ -63,3 +63,36 @@ def test_augment_and_shrink_match_dense_oracle(problem, data):
             kept = state.solution
             assert kept.tolist() == [before[j] for j in state.support.tolist()]
             assert abs(state.residual_norm - dense_residual(dense, k, state.support, kept)) <= TOL
+
+
+def test_lazy_factoring_matches_fresh_state():
+    """A shrink regathers without factoring, so rank_flag is computed on
+    demand; after every step it must be the flag of a fresh state on the same
+    pattern, and after every augment the solution must be its bits."""
+    flagged_after_shrink = []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(problem=problems(), data=st.data())
+    def check(problem, data):
+        dense, k = problem
+        n = dense.shape[0]
+        A = SparseMatrix.from_dense(dense)
+        state = ColumnLeastSquares(A, k, subset(data, list(range(n)), n))
+        for _ in range(data.draw(st.integers(1, 6))):
+            support = state.support.tolist()
+            rest = [j for j in range(n) if j not in support]
+            grow = rest and (len(support) == 1 or data.draw(st.booleans()))
+            if grow:
+                state.augment(subset(data, rest, len(rest)))
+            else:
+                state.shrink(subset(data, support, len(support) - 1))
+            fresh = ColumnLeastSquares(A, k, state.support)
+            assert state.rank_flag == fresh.rank_flag
+            if grow:
+                assert state.solution.tobytes() == fresh.solution.tobytes()
+            else:
+                flagged_after_shrink.append(state.rank_flag)
+
+    check()
+    # both outcomes of the on-demand flag were exercised
+    assert any(flagged_after_shrink) and not all(flagged_after_shrink)

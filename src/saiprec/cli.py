@@ -1,10 +1,11 @@
 """Benchmark command line: build preconditioners, solve systems, run the
 drop-tolerance sweeps and the static-pattern studies, and print summary tables.
 
-Experiments are described by flags or by a line-oriented ``key = value`` spec
-file with bracketed sections; flags override file values. The right-hand side
-of every solve is synthesized as b = A * ones unless a vector file is given.
-All floating-point CSV fields carry 17 significant digits.
+Every option is declared once, in :data:`OPTIONS`. An experiment takes the
+table defaults, then a ``key = value`` spec file with bracketed sections, then
+the flags; what the table does not accept stops the run before any matrix is
+loaded. The right-hand side of every solve is b = A * ones. CSV floats carry
+17 significant digits; booleans are written as 1/0.
 """
 
 from __future__ import annotations
@@ -12,20 +13,22 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import datasets
-from .core import SparseMatrix, load_matrix_market, save_matrix_market
+from .core import load_matrix_market, save_matrix_market
 from .diagnostics import check_nonsingular
 from .krylov import SolveParams, solve
-from .psai import Preconditioner, SaiParams, build_preconditioner
-from .static import make_pattern, postfilter, static_build
+from .psai import SaiParams, build_preconditioner
+from .static import PATTERN_KINDS, make_pattern, postfilter, static_build
 
 
 def _fmt(x) -> str:
@@ -38,187 +41,219 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, rows, mode="w"):
+    """Write ``rows`` under ``header``; mode "a" appends to an existing file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def _append_csv(path: Path, header, rows):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fresh = not path.exists()
-    with open(path, "a", newline="") as fh:
+    fresh = mode == "w" or not path.exists()
+    with open(path, mode, newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
-@dataclass
-class ExperimentSpec:
-    matrices: list[Path] = field(default_factory=list)
-    sai: SaiParams = field(default_factory=SaiParams)
-    solvers: list[SolveParams] = field(default_factory=list)
-    scalings: list[float] = field(default_factory=lambda: [1.0, 0.5, 0.1, 0.01, 0.0])
-    fixed_tols: list[float] = field(default_factory=list)
-    patterns: list[tuple[str, int]] = field(default_factory=lambda: [("iplusa", 3)])
-    out: Path = Path("out")
-    threads: int = 1
-    floor: float = 0.1
-    no_precond: bool = False
-    precond_path: Path | None = None
-
-    def __post_init__(self):
-        if not self.solvers:
-            self.solvers = [
-                SolveParams(method="bicgstab", side=self.sai.side),
-                SolveParams(method="gmres", restart=50, side=self.sai.side),
-            ]
+def _parse_drop(text: str) -> dict:
+    """SaiParams keywords for ``adaptive``, ``none`` or ``fixed:<tol>``."""
+    if text in ("adaptive", "none"):
+        return {"drop_mode": text}
+    if not text.startswith("fixed:"):
+        raise ValueError(f"drop must be adaptive, none or fixed:<tol>, got {text!r}")
+    drop = {"drop_mode": "fixed", "tol": float(text[len("fixed:"):])}
+    SaiParams(**drop)  # rejects tol <= 0
+    return drop
 
 
-def _parse_drop(text: str):
-    text = text.strip()
-    if text == "adaptive":
-        return "adaptive", None
-    if text == "none":
-        return "none", None
-    if text.startswith("fixed:"):
-        return "fixed", float(text.split(":", 1)[1])
-    raise ValueError(f"drop must be adaptive, none or fixed:<tol>, got {text!r}")
-
-
-def _parse_method(text: str) -> SolveParams:
-    text = text.strip()
-    if text == "bicgstab":
-        return SolveParams(method="bicgstab")
-    if text == "gmres":
-        return SolveParams(method="gmres", restart=50)
+def _method_args(text: str) -> dict:
+    """SolveParams keywords for ``bicgstab``, ``gmres`` or ``gmres:<m>``."""
+    if text in ("bicgstab", "gmres"):
+        return {"method": text}
     if text.startswith("gmres:"):
-        return SolveParams(method="gmres", restart=int(text.split(":", 1)[1]))
-    raise ValueError(f"method must be bicgstab or gmres:<m>, got {text!r}")
+        return {"method": "gmres", "restart": int(text[len("gmres:"):])}
+    raise ValueError(f"method must be bicgstab, gmres or gmres:<m>, got {text!r}")
+
+
+def _parse_method(text: str) -> str:
+    """The method as written, once SolveParams accepts it."""
+    text = text.strip()
+    SolveParams(**_method_args(text))  # rejects a restart below 1
+    return text
 
 
 def _parse_pattern(text: str) -> tuple[str, int]:
     kind, _, power = text.strip().partition(":")
+    if kind not in PATTERN_KINDS:
+        raise ValueError(f"pattern must be <kind>[:<k>], kind in {PATTERN_KINDS}, got {text!r}")
     return kind, int(power) if power else 3
 
 
-def _csv_list(text: str) -> list[str]:
-    return [t.strip() for t in text.replace("\n", ",").split(",") if t.strip()]
+def _parse_threads(text: str) -> int:
+    threads = int(text)
+    if threads < 0:
+        raise ValueError(f"threads must be 0 (all cores) or more, got {threads}")
+    return threads
+
+
+def _usage(parse):
+    """argparse ``type=``: a value ``parse`` rejects becomes a usage error."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_RUNS = ("build", "solve", "sweep", "static")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option, declared once for the flags, the spec file and the defaults.
+
+    ``key`` is the spec-file ``[section] key`` (None: flag only). ``parse``
+    turns one item of text into a value, raising ValueError on bad input.
+    ``default`` is the text a user would type; None leaves the default of
+    SaiParams, SolveParams or postfilter in force. ``kind`` is "one" value, a
+    comma "list", a repeatable "append" flag (a comma list in a spec file) or
+    a "switch" flag without a value."""
+
+    name: str
+    flag: str
+    key: str | None
+    parse: Callable[[str], Any] | None
+    help: str
+    default: str | None = None
+    commands: tuple[str, ...] = _RUNS
+    kind: str = "one"
+
+    def parse_text(self, text: str):
+        if self.kind == "one":
+            return self.parse(text.strip())
+        items = (t.strip() for t in text.replace("\n", ",").split(","))
+        return [self.parse(t) for t in items if t]
+
+    def add_to(self, parser: argparse.ArgumentParser):
+        if self.kind == "switch":
+            parser.add_argument(self.flag, dest=self.name, action="store_true",
+                                default=None, help=self.help)
+        else:
+            parse = self.parse if self.kind == "append" else self.parse_text
+            parser.add_argument(self.flag, dest=self.name, type=_usage(parse), help=self.help,
+                                action="append" if self.kind == "append" else "store")
+
+
+OPTIONS = (
+    Option("spec", "--spec", None, Path, "experiment spec file (key = value sections)"),
+    Option("matrices", "--matrix", "[matrices] paths", Path,
+           "matrix file path (repeatable)", kind="append"),
+    Option("eps", "--eps", "[sai] eps", float, "accuracy target per column"),
+    Option("lmax", "--lmax", "[sai] lmax", int, "max pattern-growth loops"),
+    Option("drop", "--drop", "[sai] drop", _parse_drop, "adaptive | none | fixed:<tol>"),
+    Option("side", "--side", "[sai] side", lambda text: SaiParams(side=text).side, "right | left"),
+    Option("methods", "--method", "[solve] methods", _parse_method,
+           "bicgstab | gmres | gmres:<m> (repeatable)", "bicgstab, gmres", kind="append"),
+    Option("rel_tol", "--rel-tol", "[solve] rel_tol", float, "relative residual target"),
+    Option("max_iters", "--max-iters", "[solve] max_iters", int,
+           "BiCGStab steps or GMRES restart cycles"),
+    Option("no_precond", "--no-precond", None, None, "solve without a preconditioner",
+           commands=("solve",), kind="switch"),
+    Option("precond", "--precond", None, Path, "use a previously written M (.mtx)",
+           commands=("solve",)),
+    Option("scalings", "--scalings", "[sweep] scalings", float,
+           "comma list of adaptive-criterion scalings", "1, 0.5, 0.1, 0.01, 0", ("sweep",), "list"),
+    Option("fixed_tols", "--fixed-tols", "[sweep] fixed_tols", float,
+           "comma list of fixed tolerances", "", ("sweep",), "list"),
+    Option("patterns", "--pattern", "[static] patterns", _parse_pattern,
+           "iplusa:<k> | abs:<k> | normal:<k> (repeatable)", "iplusa:3", ("static",), "append"),
+    Option("floor", "--floor", "[static] floor", float,
+           "residual floor inside the postfilter tolerance", commands=("static",)),
+    Option("out", "--out", "[output] dir", Path, "output directory", "out", (*_RUNS, "report")),
+    Option("threads", "--threads", "[output] threads", _parse_threads,
+           "build worker processes; 0 means all cores", "0"),
+)
+
+
+@dataclass
+class ExperimentSpec:
+    matrices: list[Path]
+    sai: SaiParams
+    solvers: list[SolveParams]
+    scalings: list[float]
+    fixed_tols: list[float]
+    patterns: list[tuple[str, int]]
+    filter_args: dict  # postfilter keywords
+    out: Path
+    threads: int
+    no_precond: bool
+    precond_path: Path | None
 
 
 def load_spec_file(path) -> dict:
-    """Parse the line-oriented spec file into plain option values."""
+    """Parse a spec file into option values keyed by option name. A section,
+    key or value the table does not accept stops the run with a message that
+    names the file and the ``[section] key``."""
     parser = configparser.ConfigParser()
     with open(path) as fh:
         parser.read_file(fh)
+    by_key = {o.key: o for o in OPTIONS if o.key}
+    if parser.defaults():
+        raise SystemExit(f"{path}: unknown section [{parser.default_section}]")
     values: dict = {}
-    if parser.has_section("matrices"):
-        values["matrices"] = _csv_list(parser.get("matrices", "paths", fallback=""))
-    if parser.has_section("sai"):
-        sec = parser["sai"]
-        values["eps"] = sec.getfloat("eps", fallback=None)
-        values["lmax"] = sec.getint("lmax", fallback=None)
-        values["drop"] = sec.get("drop", fallback=None)
-        values["side"] = sec.get("side", fallback=None)
-    if parser.has_section("solve"):
-        sec = parser["solve"]
-        if sec.get("methods", fallback=None):
-            values["methods"] = _csv_list(sec.get("methods"))
-        values["rel_tol"] = sec.getfloat("rel_tol", fallback=None)
-        values["max_iters"] = sec.getint("max_iters", fallback=None)
-    if parser.has_section("sweep"):
-        sec = parser["sweep"]
-        if sec.get("scalings", fallback=None):
-            values["scalings"] = [float(t) for t in _csv_list(sec.get("scalings"))]
-        if sec.get("fixed_tols", fallback=None):
-            values["fixed_tols"] = [float(t) for t in _csv_list(sec.get("fixed_tols"))]
-    if parser.has_section("static"):
-        sec = parser["static"]
-        if sec.get("patterns", fallback=None):
-            values["patterns"] = [_parse_pattern(t) for t in _csv_list(sec.get("patterns"))]
-        values["floor"] = sec.getfloat("floor", fallback=None)
-    if parser.has_section("output"):
-        sec = parser["output"]
-        values["out"] = sec.get("dir", fallback=None)
-        values["threads"] = sec.getint("threads", fallback=None)
-    return {k: v for k, v in values.items() if v is not None}
+    for section in parser.sections():
+        if not any(key.startswith(f"[{section}] ") for key in by_key):
+            raise SystemExit(f"{path}: unknown section [{section}]")
+        for name, text in parser.items(section):
+            key = f"[{section}] {name}"
+            option = by_key.get(key)
+            if option is None:
+                raise SystemExit(f"{path}: unknown key {key}")
+            if option.kind != "one" and not text.strip():
+                continue  # an empty list keeps the default
+            try:
+                values[option.name] = option.parse_text(text)
+            except ValueError as exc:
+                raise SystemExit(f"{path}: {key}: {exc}") from None
+    return values
 
 
 def spec_from_args(args) -> ExperimentSpec:
-    values: dict = {}
+    """Resolve the options: table defaults, then the spec file, then flags."""
+    values = {o.name: o.parse_text(o.default) for o in OPTIONS if o.default is not None}
     if getattr(args, "spec", None):
-        values = load_spec_file(args.spec)
+        values.update(load_spec_file(args.spec))
+    values.update({name: v for name, v in vars(args).items() if v is not None})
 
-    def pick(name, default=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return values.get(name, default)
+    def given(**fields):
+        """Keyword arguments, renamed, for the options that have a value."""
+        return {kw: values[name] for name, kw in fields.items() if name in values}
 
-    matrices = [Path(p) for p in (pick("matrices") or [])]
-    if getattr(args, "matrix", None):
-        matrices = [Path(p) for p in args.matrix]
-    drop_mode, tol = _parse_drop(pick("drop", "adaptive"))
-    sai = SaiParams(
-        epsilon=float(pick("eps", 0.3)),
-        l_max=int(pick("lmax", 10)),
-        drop_mode=drop_mode,
-        tol=tol,
-        side=pick("side", "right"),
-    )
-    rel_tol = float(pick("rel_tol", 1e-8))
-    max_iters = int(pick("max_iters", 1000))
-    methods = pick("methods", ["bicgstab", "gmres:50"])
-    solvers = []
-    for m in methods:
-        base = _parse_method(m)
-        solvers.append(
-            SolveParams(
-                method=base.method,
-                restart=base.restart,
-                rel_tol=rel_tol,
-                max_iters=max_iters,
-                side="none" if getattr(args, "no_precond", False) else sai.side,
-            )
-        )
-    scalings = pick("scalings", [1.0, 0.5, 0.1, 0.01, 0.0])
-    if getattr(args, "scalings", None):
-        scalings = [float(t) for t in _csv_list(args.scalings)]
-    fixed_tols = pick("fixed_tols", [])
-    if getattr(args, "fixed_tols", None):
-        fixed_tols = [float(t) for t in _csv_list(args.fixed_tols)]
-    patterns = pick("patterns", [("iplusa", 3)])
-    if getattr(args, "pattern", None):
-        patterns = [_parse_pattern(t) for t in args.pattern]
-    threads = int(pick("threads", 0) or 0)
-    if threads <= 0:
-        threads = os.cpu_count() or 1  # --threads 1 for timing-stable runs
+    sai = SaiParams(**given(eps="epsilon", lmax="l_max", side="side"), **values.get("drop", {}))
+    side = "none" if values.get("no_precond") else sai.side
+    limits = given(rel_tol="rel_tol", max_iters="max_iters")
     return ExperimentSpec(
-        matrices=matrices,
+        matrices=values.get("matrices", []),
         sai=sai,
-        solvers=solvers,
-        scalings=list(scalings),
-        fixed_tols=list(fixed_tols),
-        patterns=list(patterns),
-        out=Path(pick("out", "out")),
-        threads=threads,
-        floor=float(pick("floor", 0.1)),
-        no_precond=bool(getattr(args, "no_precond", False)),
-        precond_path=Path(args.precond) if getattr(args, "precond", None) else None,
+        solvers=[SolveParams(**_method_args(m), **limits, side=side) for m in values["methods"]],
+        scalings=values["scalings"],
+        fixed_tols=values["fixed_tols"],
+        patterns=values["patterns"],
+        filter_args=given(floor="floor"),
+        out=values["out"],
+        threads=values["threads"] or os.cpu_count() or 1,  # --threads 1 for timing-stable runs
+        no_precond=bool(values.get("no_precond")),
+        precond_path=values.get("precond"),
     )
 
 
-def _require_matrices(spec: ExperimentSpec):
+def _matrices(spec: ExperimentSpec):
+    """Yield ``(name, A)`` per matrix; every path is checked before the first load."""
     if not spec.matrices:
         raise SystemExit("no matrices given: use --matrix or a spec file")
-    for p in spec.matrices:
-        if not Path(p).exists():
-            raise SystemExit(f"matrix file not found: {p}")
+    for path in spec.matrices:
+        if not path.exists():
+            raise SystemExit(f"matrix file not found: {path}")
+    for path in spec.matrices:
+        yield path.stem.replace(".mtx", ""), load_matrix_market(path)
 
 
 def _drop_label(params: SaiParams) -> str:
@@ -251,102 +286,57 @@ STATIC_HEADER = [
 ]
 
 
-def _build_one(path: Path, sai: SaiParams, threads: int):
-    A = load_matrix_market(path)
-    P = build_preconditioner(A, sai, threads=threads)
-    return A, P
-
-
-def _build_rows(name: str, A: SparseMatrix, P: Preconditioner):
-    nonsingular, pivot_min = check_nonsingular(P.M)
-    tol_min, tol_max = P.tol_range()
-    sai = P.params
-    summary = [
-        name, A.nrows, A.nnz, sai.epsilon, sai.l_max, _drop_label(sai), sai.side,
-        P.spar, P.r_max, P.r_max_post, P.coln(sai.epsilon), tol_min, tol_max,
-        nonsingular, pivot_min, P.build_time,
-    ]
-    label = _drop_label(sai)
-    columns = [
-        [r.k, r.pre_drop_residual, r.post_drop_residual, r.nnz_final, r.loops_used, label]
-        for r in P.records
-    ]
-    return summary, columns
-
-
 def cmd_build(spec: ExperimentSpec) -> int:
-    _require_matrices(spec)
-    spec.out.mkdir(parents=True, exist_ok=True)
-    for path in spec.matrices:
-        name = Path(path).stem.replace(".mtx", "")
-        A, P = _build_one(path, spec.sai, spec.threads)
-        summary, columns = _build_rows(name, A, P)
-        save_matrix_market(spec.out / f"{name}_M.mtx", P.M,
-                           comment=f"SAI of {name}, {_drop_label(spec.sai)}")
-        _write_csv(spec.out / f"{name}_build.csv", BUILD_HEADER, [summary])
-        _write_csv(spec.out / f"{name}_columns.csv", COLUMNS_HEADER, columns)
+    sai, label = spec.sai, _drop_label(spec.sai)
+    for name, A in _matrices(spec):
+        P = build_preconditioner(A, sai, threads=spec.threads)
+        nonsingular, pivot_min = check_nonsingular(P.M)
+        _write_csv(spec.out / f"{name}_build.csv", BUILD_HEADER, [[
+            name, A.nrows, A.nnz, sai.epsilon, sai.l_max, label, sai.side,
+            P.spar, P.r_max, P.r_max_post, P.coln(sai.epsilon), *P.tol_range(),
+            nonsingular, pivot_min, P.build_time,
+        ]])
+        _write_csv(spec.out / f"{name}_columns.csv", COLUMNS_HEADER, [
+            [r.k, r.pre_drop_residual, r.post_drop_residual, r.nnz_final, r.loops_used, label]
+            for r in P.records
+        ])
+        save_matrix_market(spec.out / f"{name}_M.mtx", P.M, comment=f"SAI of {name}, {label}")
         print(
             f"{name}: n={A.nrows} nnz={A.nnz} spar={P.spar:.2f} "
-            f"r_max={P.r_max:.6g} coln={P.coln(spec.sai.epsilon)} "
-            f"nonsingular={summary[-3]} ptime={P.build_time:.2f}s"
+            f"r_max={P.r_max:.6g} coln={P.coln(sai.epsilon)} "
+            f"nonsingular={nonsingular} ptime={P.build_time:.2f}s"
         )
     return 0
 
 
-def _solve_rows(name: str, A: SparseMatrix, M, spec: ExperimentSpec, label: str):
-    b = A.matvec(np.ones(A.ncols))
-    rows = []
-    for params in spec.solvers:
-        x, rep = solve(A, b, M=M, params=params)
-        dagger = not rep.converged
-        method = params.method if params.method == "bicgstab" else f"gmres:{params.restart}"
-        rows.append([
-            name, method, params.side, label, rep.converged, dagger, rep.iters,
-            rep.matvecs, rep.precond_applies, rep.final_rel_residual, rep.solve_time,
-        ])
-        mark = "†" if dagger else ""
-        print(
-            f"{name} {method}: converged={rep.converged}{mark} iters={rep.iters:g} "
-            f"matvecs={rep.matvecs} rel_res={rep.final_rel_residual:.3e}"
-        )
-    return rows
-
-
 def cmd_solve(spec: ExperimentSpec) -> int:
-    _require_matrices(spec)
-    all_rows = []
-    for path in spec.matrices:
-        name = Path(path).stem.replace(".mtx", "")
-        A = load_matrix_market(path)
+    rows = []
+    for name, A in _matrices(spec):
         if spec.no_precond:
             M, label = None, "none"
         elif spec.precond_path is not None:
             M, label = load_matrix_market(spec.precond_path), str(spec.precond_path)
         else:
-            _, P = _build_one(path, spec.sai, spec.threads)
-            M, label = P, _drop_label(spec.sai)
-        all_rows.extend(_solve_rows(name, A, M, spec, label))
-    _append_csv(spec.out / "solve.csv", SOLVE_HEADER, all_rows)
+            M = build_preconditioner(A, spec.sai, threads=spec.threads)
+            label = _drop_label(spec.sai)
+        b = A.matvec(np.ones(A.ncols))
+        for params in spec.solvers:
+            _, rep = solve(A, b, M=M, params=params)
+            dagger = not rep.converged
+            method = params.method if params.method == "bicgstab" else f"gmres:{params.restart}"
+            rows.append([
+                name, method, params.side, label, rep.converged, dagger, rep.iters,
+                rep.matvecs, rep.precond_applies, rep.final_rel_residual, rep.solve_time,
+            ])
+            print(
+                f"{name} {method}: converged={rep.converged}{'†' if dagger else ''} "
+                f"iters={rep.iters:g} matvecs={rep.matvecs} rel_res={rep.final_rel_residual:.3e}"
+            )
+    _write_csv(spec.out / "solve.csv", SOLVE_HEADER, rows, mode="a")
     return 0
 
 
-def _sweep_cell(A, sai: SaiParams, spec: ExperimentSpec):
-    P = build_preconditioner(A, sai, threads=spec.threads)
-    b = A.matvec(np.ones(A.ncols))
-    iters = {}
-    daggers = {}
-    for params in spec.solvers:
-        _, rep = solve(A, b, M=P, params=params)
-        key = "b" if params.method == "bicgstab" else "g"
-        iters[key] = rep.iters
-        daggers[key] = not rep.converged
-    nonsingular, _ = check_nonsingular(P.M)
-    tol_min, tol_max = P.tol_range()
-    return P, iters, daggers, nonsingular, tol_min, tol_max
-
-
 def cmd_sweep(spec: ExperimentSpec) -> int:
-    _require_matrices(spec)
     base = dict(epsilon=spec.sai.epsilon, l_max=spec.sai.l_max, side=spec.sai.side)
     # scale 0 means no dropping; SaiParams rejects a negative scale
     cells = [("scale", s, SaiParams(**base, drop_mode="adaptive", drop_scale=s) if s != 0
@@ -355,16 +345,20 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     if not cells:
         raise SystemExit("empty sweep: give --scalings or --fixed-tols")
     rows = []
-    for path in spec.matrices:
-        name = Path(path).stem.replace(".mtx", "")
-        A = load_matrix_market(path)
+    for name, A in _matrices(spec):
+        b = A.matvec(np.ones(A.ncols))
         for mode, value, sai in cells:
-            P, iters, daggers, nonsingular, tol_min, tol_max = _sweep_cell(A, sai, spec)
+            P = build_preconditioner(A, sai, threads=spec.threads)
+            iters, daggers = {}, {}
+            for params in spec.solvers:
+                _, rep = solve(A, b, M=P, params=params)
+                key = "b" if params.method == "bicgstab" else "g"
+                iters[key], daggers[key] = rep.iters, not rep.converged
+            nonsingular = check_nonsingular(P.M)[0]
             rows.append([
                 name, mode, value, P.spar, P.build_time,
                 iters.get("b"), iters.get("g"), daggers.get("b", False),
-                daggers.get("g", False), P.r_max, P.r_max_post, tol_min,
-                tol_max, nonsingular,
+                daggers.get("g", False), P.r_max, P.r_max_post, *P.tol_range(), nonsingular,
             ])
             print(
                 f"{name} {mode}={value:g}: spar={P.spar:.2f} r_max={P.r_max:.6g} "
@@ -376,36 +370,25 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
 
 
 def cmd_static(spec: ExperimentSpec) -> int:
-    _require_matrices(spec)
+    # static builds are right-side: A M ~ I
+    solvers = [dataclasses.replace(params, side="right") for params in spec.solvers]
     rows = []
-    for path in spec.matrices:
-        name = Path(path).stem.replace(".mtx", "")
-        A = load_matrix_market(path)
+    for name, A in _matrices(spec):
         b = A.matvec(np.ones(A.ncols))
         for kind, power in spec.patterns:
             t0 = time.perf_counter()
             pattern = make_pattern(A, kind, power)
             t_pattern = time.perf_counter() - t0
             P = static_build(A, pattern, threads=spec.threads)
-            F = postfilter(A, P, floor=spec.floor)
+            F = postfilter(A, P, **spec.filter_args)
             for variant, prec, t_filter in (("M", P, 0.0), ("Md", F, F.build_time)):
-                iters = {}
-                times = {}
-                for params in spec.solvers:
-                    solver_params = SolveParams(
-                        method=params.method, restart=params.restart,
-                        rel_tol=params.rel_tol, max_iters=params.max_iters,
-                        side="right",
-                    )
-                    _, rep = solve(A, b, M=prec, params=solver_params)
+                iters, times = {}, {}
+                for params in solvers:
+                    _, rep = solve(A, b, M=prec, params=params)
                     key = "b" if params.method == "bicgstab" else "g"
                     iters[key] = rep.iters if rep.converged else None
                     times[key] = rep.solve_time
-                r_max = (
-                    max(r.post_drop_residual for r in prec.records)
-                    if variant == "Md"
-                    else prec.r_max
-                )
+                r_max = prec.r_max_post if variant == "Md" else prec.r_max
                 rows.append([
                     name, f"{kind}:{power}", variant, t_pattern, P.build_time,
                     t_filter, t_pattern + P.build_time + t_filter,
@@ -487,19 +470,13 @@ def cmd_fetch(args) -> int:
     return status
 
 
-def _add_common(p):
-    p.add_argument("--spec", help="experiment spec file (key = value sections)")
-    p.add_argument("--matrix", action="append", help="matrix file path (repeatable)")
-    p.add_argument("--eps", type=float, default=None, help="accuracy target per column")
-    p.add_argument("--lmax", type=int, default=None, help="max pattern-growth loops")
-    p.add_argument("--drop", default=None, help="adaptive | none | fixed:<tol>")
-    p.add_argument("--side", default=None, choices=["left", "right"])
-    p.add_argument("--method", action="append", dest="methods",
-                   help="bicgstab | gmres:<m> (repeatable)")
-    p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-    p.add_argument("--max-iters", type=int, default=None, dest="max_iters")
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
+_COMMANDS = {
+    "build": (cmd_build, "build a preconditioner, write M and reports"),
+    "solve": (cmd_solve, "solve with BiCGStab/GMRES, write solve.csv"),
+    "sweep": (cmd_sweep, "sweep drop-tolerance scalings or fixed tols"),
+    "static": (cmd_static, "static-pattern build, postfilter, solve"),
+    "report": (None, "print summary tables from an output dir"),
+}
 
 
 def main(argv=None) -> int:
@@ -508,29 +485,11 @@ def main(argv=None) -> int:
         description="Sparse approximate inverse preconditioning benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", help="build a preconditioner, write M and reports")
-    _add_common(p_build)
-
-    p_solve = sub.add_parser("solve", help="solve with BiCGStab/GMRES, write solve.csv")
-    _add_common(p_solve)
-    p_solve.add_argument("--no-precond", action="store_true", dest="no_precond")
-    p_solve.add_argument("--precond", help="use a previously written M (.mtx)")
-
-    p_sweep = sub.add_parser("sweep", help="sweep drop-tolerance scalings or fixed tols")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--scalings", help="comma list of adaptive-criterion scalings")
-    p_sweep.add_argument("--fixed-tols", dest="fixed_tols", help="comma list of fixed tolerances")
-
-    p_static = sub.add_parser("static", help="static-pattern build, postfilter, solve")
-    _add_common(p_static)
-    p_static.add_argument("--pattern", action="append",
-                          help="iplusa:<k> | abs:<k> | normal:<k> (repeatable)")
-    p_static.add_argument("--floor", type=float, default=None,
-                          help="residual floor inside the postfilter tolerance")
-
-    p_report = sub.add_parser("report", help="print summary tables from an output dir")
-    p_report.add_argument("--out", default="out")
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for option in OPTIONS:
+            if command in option.commands:
+                option.add_to(p)
 
     p_fetch = sub.add_parser("fetch", help="list catalog matrices; --download fetches")
     p_fetch.add_argument("names", nargs="*", help="matrix names (default: all)")
@@ -538,20 +497,12 @@ def main(argv=None) -> int:
     p_fetch.add_argument("--dest", default="data")
 
     args = parser.parse_args(argv)
-    if args.command == "report":
-        return cmd_report(args.out)
     if args.command == "fetch":
         return cmd_fetch(args)
     spec = spec_from_args(args)
-    if args.command == "build":
-        return cmd_build(spec)
-    if args.command == "solve":
-        return cmd_solve(spec)
-    if args.command == "sweep":
-        return cmd_sweep(spec)
-    if args.command == "static":
-        return cmd_static(spec)
-    raise SystemExit(f"unknown command {args.command}")
+    if args.command == "report":
+        return cmd_report(spec.out)
+    return _COMMANDS[args.command][0](spec)
 
 
 if __name__ == "__main__":

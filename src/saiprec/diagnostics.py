@@ -76,7 +76,7 @@ def check_nonsingular(M: SparseMatrix):
     if not np.isfinite(pivot_min):
         return False, 0.0
     threshold = M.nrows * _EPS * M.one_norm()
-    return pivot_min > threshold, pivot_min
+    return bool(pivot_min > threshold), pivot_min
 
 
 def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,

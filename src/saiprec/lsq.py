@@ -20,10 +20,10 @@ _EPS = np.finfo(np.float64).eps
 class ColumnLeastSquares:
     """State of one column's LS problem: pattern, gathered block, solution.
 
-    Every pattern change (construction, :meth:`augment`, :meth:`shrink`)
-    gathers the block A(R, S) afresh; construction and :meth:`augment` solve
-    with one QR of it. :meth:`shrink` neither factors nor re-solves: the kept
-    coefficients keep their values (the builders' dropped-column semantics).
+    Construction and :meth:`augment` gather the block A(R, S) afresh and solve
+    with one QR of it. :meth:`shrink` slices the held block and neither
+    factors nor re-solves: the kept coefficients keep their values (the
+    builders' dropped-column semantics).
 
     Rank deficiency (a pivot at or below ``n * eps * column_norm``, or a
     column with no pivot row left) switches solves to a minimum-norm fallback
@@ -42,7 +42,7 @@ class ColumnLeastSquares:
         if support[-1] >= A.ncols:
             raise ValueError("pattern index out of range")
         self._A, self.k = A, int(k)
-        self._set_pattern(support)
+        self._set_pattern(support, *_gather(self._A, support, np.array([self.k])))
         self._solve()
 
     # ------------------------------------------------------------------
@@ -80,12 +80,12 @@ class ColumnLeastSquares:
         support = np.union1d(self._support, new)
         if support.size != self._support.size + new.size:
             raise ValueError("augment indices must be disjoint from the pattern")
-        self._set_pattern(support)
+        self._set_pattern(support, *_gather(self._A, support, np.array([self.k])))
         self._solve()
         return self
 
     def shrink(self, removed) -> "ColumnLeastSquares":
-        """Remove pattern indices; the block is regathered, values are kept.
+        """Remove pattern indices; the block is sliced, values are kept.
 
         The surviving coefficients keep their current values (no re-solve);
         :attr:`residual_norm` is recomputed for the kept values.
@@ -98,18 +98,21 @@ class ColumnLeastSquares:
             raise ValueError("can only remove indices present in the pattern")
         if not keep.any():
             raise ValueError("cannot remove the entire pattern")
-        self._set_pattern(self._support[keep])
+        # A stores no zeros, so the rows nonzero in the kept columns (plus row
+        # k) are exactly the rows a regather of A(:, S) would find
+        block = self._block[:, keep]
+        live = block.any(axis=1) | (self._rows == self.k)
+        self._set_pattern(self._support[keep], block[live], self._rows[live])
         self._solution = self._solution[keep]
         self._set_residual()
         return self
 
     # ------------------------------------------------------------------
-    def _set_pattern(self, support: np.ndarray):
-        self._support = support
-        self._block, self._rows = _gather(self._A, support, np.array([self.k]))
+    def _set_pattern(self, support: np.ndarray, block: np.ndarray, rows: np.ndarray):
+        self._support, self._block, self._rows = support, block, rows
         support.setflags(write=False)
-        self._rows.setflags(write=False)
-        self._rhs = (self._rows == self.k).astype(np.float64)
+        rows.setflags(write=False)
+        self._rhs = (rows == self.k).astype(np.float64)
         self._rank_flag = None
 
     def _deficient(self, R: np.ndarray) -> bool:

@@ -5,7 +5,7 @@ numerical nonzeros of the powers A^l e_k, kept as sparse vectors, and each
 growth step ends with one QR solve of the column's least-squares problem. A
 column stops early (stalled) once A maps its reached index set into itself, as
 no index can be new again. The plain builder never drops; the dropping builder
-removes small entries after each solve (the block is regathered, not factored)
+removes small entries after each solve (the block is sliced, not factored)
 by a fixed tolerance or the adaptive criterion eps / (nnz(m_k) * ||A||_1), which
 keeps the dropped mass small enough that a column meeting the accuracy target
 eps still satisfies ||A m_d - e_k||_2 <= 2 eps after dropping.

@@ -1,4 +1,5 @@
 import csv
+import re
 import warnings
 from pathlib import Path
 
@@ -319,3 +320,74 @@ class TestLeftSideCli:
         assert rc == 0
         rows = read_rows(out / "solve.csv")
         assert all(r["side"] == "left" and r["converged"] == "1" for r in rows)
+
+
+class TestOptionTable:
+    """Spec-file sections, keys and values, and flag values, are checked
+    against the option table before any matrix is loaded."""
+
+    @pytest.mark.parametrize("body, message", [
+        ("[sai]\nepsilon = 0.2\n", r"unknown key \[sai\] epsilon"),
+        ("[sai]\nlmx = 3\n", r"unknown key \[sai\] lmx"),
+        ("[solver]\nmethods = bicgstab\n", r"unknown section \[solver\]"),
+        ("[solver]\n", r"unknown section \[solver\]"),
+        ("[sai]\neps = abc\n", r"\[sai\] eps: could not convert"),
+        ("[sai]\ndrop = fixed:abc\n", r"\[sai\] drop: could not convert"),
+        ("[solve]\nmethods = bicgstab, cg\n", r"\[solve\] methods: method must be"),
+        ("[static]\npatterns = iplusa:x\n", r"\[static\] patterns:"),
+        ("[output]\nthreads = -3\n", r"\[output\] threads: threads must be 0"),
+    ])
+    def test_spec_file_rejects(self, tmp_path, body, message):
+        spec_path = tmp_path / "exp.spec"
+        spec_path.write_text(body)
+        with pytest.raises(SystemExit, match=message) as info:
+            load_spec_file(spec_path)
+        assert str(spec_path) in str(info.value)
+        with pytest.raises(SystemExit, match=message):
+            main(["build", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_list_keeps_default(self, tmp_path):
+        spec_path = tmp_path / "exp.spec"
+        spec_path.write_text("[solve]\nmethods =\n[sweep]\nscalings =\n[static]\npatterns =\n")
+        assert load_spec_file(spec_path) == {}
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--drop", "fixed:abc"],
+        ["static", "--pattern", "iplusa:x"],
+        ["static", "--pattern", "cube:2"],
+        ["solve", "--method", "gmres:0"],
+        ["build", "--threads", "-3"],
+        ["build", "--side", "up"],
+    ])
+    def test_flag_value_is_usage_error(self, tmp_path, capsys, argv):
+        flag = argv[1]
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--matrix", str(tmp_path / "missing.mtx"), "--out", str(tmp_path)])
+        assert info.value.code == 2  # argparse usage error, not "matrix file not found"
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_threads_zero_means_all_cores(self, demo_matrix, tmp_path):
+        _, path = demo_matrix
+        rc = main(["build", "--matrix", str(path), "--threads", "0", "--out", str(tmp_path)])
+        assert rc == 0
+
+    def test_nonsingular_written_as_one(self, demo_matrix, tmp_path):
+        _, path = demo_matrix
+        main(["build", "--matrix", str(path), "--out", str(tmp_path), "--threads", "1"])
+        main(["sweep", "--matrix", str(path), "--scalings", "1", "--out", str(tmp_path),
+              "--threads", "1"])
+        assert read_rows(tmp_path / "demo_build.csv")[0]["nonsingular"] == "1"
+        assert read_rows(tmp_path / "sweep.csv")[0]["nonsingular"] == "1"
+
+    def test_readme_spec_example(self, tmp_path):
+        """The README's spec example loads and names every spec-file key."""
+        from saiprec.cli import OPTIONS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        spec_path = tmp_path / "readme.spec"
+        spec_path.write_text(blocks[0])
+        values = load_spec_file(spec_path)
+        assert set(values) == {o.name for o in OPTIONS if o.key}

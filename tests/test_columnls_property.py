@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saiprec.core import SparseMatrix
+from saiprec.core import SparseMatrix, gather_submatrix
 from saiprec.lsq import ColumnLeastSquares
 
 TOL = 1e-10
@@ -96,3 +96,35 @@ def test_lazy_factoring_matches_fresh_state():
     check()
     # both outcomes of the on-demand flag were exercised
     assert any(flagged_after_shrink) and not all(flagged_after_shrink)
+
+
+def test_shrink_block_matches_regather():
+    """A shrink slices the block it holds; its rows must be those of
+    gather_submatrix on the kept pattern, and its residual norm the residual of
+    the kept solution on that regathered block, bit for bit."""
+    lost_rows = []
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=150)
+    @given(problem=problems(), data=st.data())
+    def check(problem, data):
+        dense, k = problem
+        n = dense.shape[0]
+        A = SparseMatrix.from_dense(dense)
+        state = ColumnLeastSquares(A, k, subset(data, list(range(n)), n))
+        for _ in range(data.draw(st.integers(1, 6))):
+            support = state.support.tolist()
+            rest = [j for j in range(n) if j not in support]
+            if rest and (len(support) == 1 or data.draw(st.booleans())):
+                state.augment(subset(data, rest, len(rest)))
+                continue
+            before = state.rows.size
+            state.shrink(subset(data, support, len(support) - 1))
+            block, rows = gather_submatrix(A, state.support, [k])
+            assert state.rows.tolist() == rows.indices.tolist()
+            rhs = (rows.indices == k).astype(np.float64)
+            assert state.residual_norm == float(np.linalg.norm(block @ state.solution - rhs))
+            lost_rows.append(state.rows.size < before)
+
+    check()
+    # shrinks that leave rows empty, and shrinks that do not, both occurred
+    assert any(lost_rows) and not all(lost_rows)

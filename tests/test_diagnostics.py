@@ -40,6 +40,11 @@ class TestCheckNonsingular:
         ok, _ = check_nonsingular(SparseMatrix.from_dense(dense))
         assert not ok
 
+    def test_flag_is_python_bool(self):
+        # the CLI writes Python bools as 1/0; a numpy.bool_ would print True/False
+        for M in (SparseMatrix.identity(3), SparseMatrix.from_dense(np.diag([1.0, 1e-18]))):
+            assert isinstance(check_nonsingular(M)[0], bool)
+
 
 class TestQualityReport:
     def test_identity_pair(self):

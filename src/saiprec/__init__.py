@@ -6,7 +6,6 @@ BiCGStab/GMRES(m) solvers, and quality diagnostics.
 """
 
 from .core import (
-    ColumnPattern,
     MatrixMarketError,
     SparseMatrix,
     SparseVector,
@@ -25,7 +24,7 @@ from .psai import (
     build_preconditioner,
     psai_tol_column,
 )
-from .static import PatternMatrix, PatternSizeError, make_pattern, postfilter, static_build
+from .static import PatternSizeError, make_pattern, postfilter, static_build
 from .krylov import SolveParams, SolveReport, bicgstab, gmres_restart, solve
 from .diagnostics import (
     QualityReport,
@@ -36,7 +35,6 @@ from .diagnostics import (
 )
 
 __all__ = [
-    "ColumnPattern",
     "MatrixMarketError",
     "SparseMatrix",
     "SparseVector",
@@ -52,7 +50,6 @@ __all__ = [
     "bpsai_column",
     "build_preconditioner",
     "psai_tol_column",
-    "PatternMatrix",
     "PatternSizeError",
     "make_pattern",
     "postfilter",

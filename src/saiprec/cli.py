@@ -17,6 +17,7 @@ import dataclasses
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -83,7 +84,10 @@ def _parse_pattern(text: str) -> tuple[str, int]:
     kind, _, power = text.strip().partition(":")
     if kind not in PATTERN_KINDS:
         raise ValueError(f"pattern must be <kind>[:<k>], kind in {PATTERN_KINDS}, got {text!r}")
-    return kind, int(power) if power else 3
+    power = int(power) if power else 3
+    if power < 1:
+        raise ValueError(f"pattern power must be at least 1, got {text!r}")
+    return kind, power
 
 
 def _parse_threads(text: str) -> int:
@@ -91,6 +95,16 @@ def _parse_threads(text: str) -> int:
     if threads < 0:
         raise ValueError(f"threads must be 0 (all cores) or more, got {threads}")
     return threads
+
+
+def _checked(params, field: str, convert):
+    """Item parser: ``convert`` the text, then let ``params`` (SaiParams or
+    SolveParams) check the value as ``field``."""
+    def parse(text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # warned once, when the run builds its params
+            return getattr(params(**{field: convert(text)}), field)
+    return parse
 
 
 def _usage(parse):
@@ -146,14 +160,17 @@ OPTIONS = (
     Option("spec", "--spec", None, Path, "experiment spec file (key = value sections)"),
     Option("matrices", "--matrix", "[matrices] paths", Path,
            "matrix file path (repeatable)", kind="append"),
-    Option("eps", "--eps", "[sai] eps", float, "accuracy target per column"),
-    Option("lmax", "--lmax", "[sai] lmax", int, "max pattern-growth loops"),
+    Option("eps", "--eps", "[sai] eps", _checked(SaiParams, "epsilon", float),
+           "accuracy target per column"),
+    Option("lmax", "--lmax", "[sai] lmax", _checked(SaiParams, "l_max", int),
+           "max pattern-growth loops"),
     Option("drop", "--drop", "[sai] drop", _parse_drop, "adaptive | none | fixed:<tol>"),
-    Option("side", "--side", "[sai] side", lambda text: SaiParams(side=text).side, "right | left"),
+    Option("side", "--side", "[sai] side", _checked(SaiParams, "side", str), "right | left"),
     Option("methods", "--method", "[solve] methods", _parse_method,
            "bicgstab | gmres | gmres:<m> (repeatable)", "bicgstab, gmres", kind="append"),
-    Option("rel_tol", "--rel-tol", "[solve] rel_tol", float, "relative residual target"),
-    Option("max_iters", "--max-iters", "[solve] max_iters", int,
+    Option("rel_tol", "--rel-tol", "[solve] rel_tol", _checked(SolveParams, "rel_tol", float),
+           "relative residual target"),
+    Option("max_iters", "--max-iters", "[solve] max_iters", _checked(SolveParams, "max_iters", int),
            "BiCGStab steps or GMRES restart cycles"),
     Option("no_precond", "--no-precond", None, None, "solve without a preconditioner",
            commands=("solve",), kind="switch"),
@@ -193,8 +210,11 @@ def load_spec_file(path) -> dict:
     key or value the table does not accept stops the run with a message that
     names the file and the ``[section] key``."""
     parser = configparser.ConfigParser()
-    with open(path) as fh:
-        parser.read_file(fh)
+    try:
+        with open(path) as fh:
+            parser.read_file(fh)
+    except configparser.Error as exc:  # no section header, a key or section given twice
+        raise SystemExit(f"{path}: {exc}") from None
     by_key = {o.key: o for o in OPTIONS if o.key}
     if parser.defaults():
         raise SystemExit(f"{path}: unknown section [{parser.default_section}]")

@@ -32,35 +32,6 @@ def _as_index_array(indices) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ColumnPattern:
-    """Strictly increasing set of row indices describing one column's structure."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_index_array(self.indices)
-        if arr.size and np.any(np.diff(arr) <= 0):
-            raise ValueError("pattern indices must be strictly increasing")
-        if arr.size and arr[0] < 0:
-            raise ValueError("pattern indices must be nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "indices", arr)
-
-    @classmethod
-    def coerce(cls, obj) -> "ColumnPattern":
-        if isinstance(obj, cls):
-            return obj
-        arr = np.unique(_as_index_array(list(obj) if not hasattr(obj, "__len__") else obj))
-        return cls(arr)
-
-    def __len__(self):
-        return int(self.indices.size)
-
-    def __iter__(self):
-        return iter(self.indices.tolist())
-
-
-@dataclass(frozen=True)
 class SparseVector:
     """Sparse vector with strictly increasing indices and no stored zeros."""
 
@@ -271,26 +242,32 @@ def _column_entries(A: SparseMatrix, cols):
     return rows, vals, np.array([idx.size for idx, _ in columns])
 
 
+def _index_set(obj, bound: int, name: str = "pattern index") -> np.ndarray:
+    """``obj`` as a sorted, duplicate-free, read-only int64 copy; every index
+    must lie in ``[0, bound)``."""
+    arr = _as_index_array(obj)
+    if np.any(np.diff(arr) <= 0):
+        arr = np.unique(arr)
+    if arr.size and (arr[0] < 0 or arr[-1] >= bound):
+        raise ValueError(f"{name} out of range [0, {bound})")
+    arr.setflags(write=False)
+    return arr
+
+
 def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
     """Dense block ``A(R, J)`` where ``R`` is the union of the row supports of
     the columns ``J`` (plus any ``extra_rows``), together with ``R`` itself.
 
     Rows outside ``R`` are identically zero in ``A(:, J)`` and omitted.
     """
-    pattern = ColumnPattern.coerce(pattern)
-    if len(pattern) == 0:
+    cols = _index_set(pattern, A.ncols)
+    if cols.size == 0:
         raise ValueError("empty column pattern")
-    if pattern.indices[-1] >= A.ncols:
-        raise ValueError("pattern index out of range")
-    extra = _as_index_array(extra_rows)
-    if extra.size and (extra.min() < 0 or extra.max() >= A.nrows):
-        raise ValueError("extra row index out of range")
-    block, rows = _gather(A, pattern.indices, extra)
-    return block, ColumnPattern(rows)
+    return _gather(A, cols, _index_set(extra_rows, A.nrows, "extra row index"))
 
 
 def _gather(A: SparseMatrix, cols: np.ndarray, extra_rows: np.ndarray):
-    """Unchecked :func:`gather_submatrix` for sorted in-range ``cols``; R is a plain array."""
+    """Unchecked :func:`gather_submatrix` for sorted in-range ``cols``."""
     idx, vals, counts = _column_entries(A, cols)
     rows, local = np.unique(np.concatenate([idx, extra_rows]), return_inverse=True)
     block = np.zeros((rows.size, cols.size))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .core import ColumnPattern, SparseMatrix, SparseVector, _gather
+from .core import SparseMatrix, SparseVector, _gather, _index_set
 
 _EPS = np.finfo(np.float64).eps
 
@@ -36,11 +36,9 @@ class ColumnLeastSquares:
             raise ValueError("column least squares expects a square matrix")
         if not (0 <= k < A.ncols):
             raise ValueError("column index out of range")
-        support = ColumnPattern.coerce(pattern).indices
+        support = _index_set(pattern, A.ncols)
         if support.size == 0:
             raise ValueError("initial pattern must be non-empty")
-        if support[-1] >= A.ncols:
-            raise ValueError("pattern index out of range")
         self._A, self.k = A, int(k)
         self._set_pattern(support, *_gather(self._A, support, np.array([self.k])))
         self._solve()
@@ -72,11 +70,9 @@ class ColumnLeastSquares:
     # ------------------------------------------------------------------
     def augment(self, new_indices) -> "ColumnLeastSquares":
         """Grow the pattern by ``new_indices`` (disjoint from it) and re-solve."""
-        new = ColumnPattern.coerce(new_indices).indices
+        new = _index_set(new_indices, self._A.ncols)
         if new.size == 0:
             return self
-        if new[-1] >= self._A.ncols:
-            raise ValueError("pattern index out of range")
         support = np.union1d(self._support, new)
         if support.size != self._support.size + new.size:
             raise ValueError("augment indices must be disjoint from the pattern")
@@ -90,7 +86,7 @@ class ColumnLeastSquares:
         The surviving coefficients keep their current values (no re-solve);
         :attr:`residual_norm` is recomputed for the kept values.
         """
-        removed = ColumnPattern.coerce(removed).indices
+        removed = _index_set(removed, self._A.ncols)
         if removed.size == 0:
             return self
         keep = ~np.isin(self._support, removed)

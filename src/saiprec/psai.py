@@ -101,7 +101,6 @@ class Preconditioner:
     a_one_norm: float
     a_nnz: int
     build_time: float = 0.0
-    origin: str = "psai"
     filtered: bool = False
 
     @property
@@ -270,5 +269,4 @@ def build_preconditioner(
         a_one_norm=a_norm,
         a_nnz=operand.nnz,
         build_time=time.perf_counter() - start,
-        origin="bpsai" if params.drop_mode == "none" else "psai",
     )

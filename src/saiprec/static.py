@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,36 +30,6 @@ class PatternSizeError(RuntimeError):
     """Predicted pattern density exceeds the configured cap."""
 
 
-@dataclass(frozen=True)
-class PatternMatrix:
-    """Boolean column structure for all n columns (CSC without values)."""
-
-    nrows: int
-    ncols: int
-    col_ptr: np.ndarray
-    row_idx: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if np.any(np.diff(self.col_ptr) < 1):
-            raise ValueError("every pattern column must be non-empty")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.row_idx.size)
-
-    def column(self, k) -> np.ndarray:
-        return self.row_idx[self.col_ptr[k] : self.col_ptr[k + 1]]
-
-    @classmethod
-    def from_scipy(cls, mat, kind: str) -> "PatternMatrix":
-        csc = mat.tocsc()
-        csc.sum_duplicates()
-        csc.sort_indices()
-        return cls(csc.shape[0], csc.shape[1], csc.indptr.astype(np.int64),
-                   csc.indices.astype(np.int64), kind)
-
-
 def _capped_matmul(L, R, cap):
     out = L @ R
     if out.nnz > cap:
@@ -69,12 +38,15 @@ def _capped_matmul(L, R, cap):
     return out
 
 
-def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP) -> PatternMatrix:
-    """Boolean structure of the named symbolic power product.
+def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP) -> SparseMatrix:
+    """Structure of the named symbolic power product, as an all-ones matrix.
 
     kind "iplusa":  (I + A)^k
     kind "abs":     (I + |A| + |A^T|)^k A^T
     kind "normal":  (A^T A)^k A^T
+
+    A zero row j of A leaves column j of the "abs" and "normal" patterns
+    empty, which :func:`static_build` rejects.
     """
     if kind not in PATTERN_KINDS:
         raise ValueError(f"kind must be one of {PATTERN_KINDS}")
@@ -83,29 +55,18 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
     S = A.to_scipy().copy()
     S.data[:] = 1.0
     eye = sp.identity(A.nrows, format="csc")
+    # the pattern is base^steps @ out; every product is capped and kept all-ones
     if kind == "iplusa":
-        base = (eye + S).tocsc()
-        base.data[:] = 1.0
-        out = base
-        for _ in range(k - 1):
-            out = _capped_matmul(out, base, cap)
+        base = out = (eye + S).tocsc()
+        steps = k - 1
     elif kind == "abs":
-        base = (eye + S + S.T).tocsc()
-        base.data[:] = 1.0
-        out = S.T.tocsc()
-        out.data[:] = 1.0
-        for _ in range(k):
-            out = _capped_matmul(base, out, cap)
+        base, out, steps = (eye + S + S.T).tocsc(), S.T, k
     else:
-        base = (S.T @ S).tocsc()
-        base.data[:] = 1.0
-        if base.nnz > cap:
-            raise PatternSizeError(f"pattern nnz {base.nnz} exceeds cap {cap}")
-        out = S.T.tocsc()
-        out.data[:] = 1.0
-        for _ in range(k):
-            out = _capped_matmul(base, out, cap)
-    return PatternMatrix.from_scipy(out, kind=f"{kind}^{k}")
+        base, out, steps = _capped_matmul(S.T, S, cap).tocsc(), S.T, k
+    base.data[:] = 1.0
+    for _ in range(steps):
+        out = _capped_matmul(base, out, cap)
+    return SparseMatrix.from_scipy(out)
 
 
 def _static_column(k, A, col_ptr, row_idx):
@@ -123,12 +84,19 @@ def _static_column(k, A, col_ptr, row_idx):
     return vec, rec
 
 
-def static_build(A: SparseMatrix, pattern: PatternMatrix, threads: int = 1) -> Preconditioner:
-    """Solve min ||A(:, S^k) m - e_k||_2 once per column on the fixed pattern."""
+def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Preconditioner:
+    """Solve min ||A(:, S^k) m - e_k||_2 once per column on the fixed pattern.
+
+    S^k is the row set of column k of ``pattern`` (its values are ignored);
+    every pattern column must be non-empty.
+    """
     if 0 in A.shape:
         raise ValueError(f"cannot build for an empty {A.nrows}x{A.ncols} matrix")
-    if (pattern.nrows, pattern.ncols) != A.shape:
+    if pattern.shape != A.shape:
         raise ValueError("pattern dimensions do not match the matrix")
+    empty = np.flatnonzero(pattern.column_nnz() == 0)
+    if empty.size:
+        raise ValueError(f"pattern column {empty[0]} is empty; every column must be non-empty")
     start = time.perf_counter()
     a_norm = A.one_norm()
     n = A.ncols
@@ -146,7 +114,6 @@ def static_build(A: SparseMatrix, pattern: PatternMatrix, threads: int = 1) -> P
         a_one_norm=a_norm,
         a_nnz=A.nnz,
         build_time=time.perf_counter() - start,
-        origin=f"static:{pattern.kind}",
     )
 
 
@@ -190,6 +157,5 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
         a_one_norm=P.a_one_norm,
         a_nnz=P.a_nnz,
         build_time=time.perf_counter() - start,
-        origin=P.origin,
         filtered=True,
     )

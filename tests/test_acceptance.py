@@ -289,7 +289,7 @@ class TestCriterion8OracleEquivalence:
             inv = np.linalg.inv(A.to_dense())
             envelope = make_pattern(A, "iplusa", 20)
             for k in range(n):
-                if envelope.column(k).size != n:
+                if envelope.column(k)[0].size != n:
                     continue  # power pattern does not fill for this column
                 vec, _ = bpsai_column(A, k, params)
                 assert np.allclose(vec.to_dense(), inv[:, k], atol=1e-8, rtol=0)

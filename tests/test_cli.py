@@ -336,6 +336,13 @@ class TestOptionTable:
         ("[solve]\nmethods = bicgstab, cg\n", r"\[solve\] methods: method must be"),
         ("[static]\npatterns = iplusa:x\n", r"\[static\] patterns:"),
         ("[output]\nthreads = -3\n", r"\[output\] threads: threads must be 0"),
+        ("eps = 0.2\n", r"no section headers"),
+        ("[sai]\neps = 0.2\neps = 0.3\n", r"option 'eps' in section 'sai' already exists"),
+        ("[static]\npatterns = iplusa:0\n", r"\[static\] patterns: pattern power must be at least 1"),
+        ("[sai]\neps = 1.5\n", r"\[sai\] eps: epsilon must lie in \(0, 1\)"),
+        ("[sai]\nlmax = 0\n", r"\[sai\] lmax: l_max must be at least 1"),
+        ("[solve]\nrel_tol = -1\n", r"\[solve\] rel_tol: rel_tol must be positive"),
+        ("[solve]\nmax_iters = 0\n", r"\[solve\] max_iters: max_iters must be at least 1"),
     ])
     def test_spec_file_rejects(self, tmp_path, body, message):
         spec_path = tmp_path / "exp.spec"
@@ -359,6 +366,11 @@ class TestOptionTable:
         ["solve", "--method", "gmres:0"],
         ["build", "--threads", "-3"],
         ["build", "--side", "up"],
+        ["static", "--pattern", "iplusa:0"],
+        ["build", "--eps", "1.5"],
+        ["build", "--lmax", "0"],
+        ["solve", "--rel-tol", "-1"],
+        ["solve", "--max-iters", "0"],
     ])
     def test_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         flag = argv[1]
@@ -366,6 +378,18 @@ class TestOptionTable:
             main(argv + ["--matrix", str(tmp_path / "missing.mtx"), "--out", str(tmp_path)])
         assert info.value.code == 2  # argparse usage error, not "matrix file not found"
         assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_high_eps_warns_once(self, tmp_path):
+        """Checking a value at parse time adds no second epsilon >= 0.5 warning."""
+        spec_path = tmp_path / "exp.spec"
+        spec_path.write_text("[sai]\neps = 0.7\n")
+        for given in (["--eps", "0.6"], ["--spec", str(spec_path)]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(SystemExit, match="matrix file not found"):
+                    main(["build", *given, "--matrix", str(tmp_path / "missing.mtx"),
+                          "--out", str(tmp_path)])
+            assert sum("epsilon >= 0.5" in str(w.message) for w in caught) == 1
 
     def test_threads_zero_means_all_cores(self, demo_matrix, tmp_path):
         _, path = demo_matrix

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse, random_well_conditioned
-from saiprec.core import SparseMatrix
+from saiprec.core import SparseMatrix, gather_submatrix
 from saiprec.lsq import ColumnLeastSquares
 
 
@@ -228,3 +228,37 @@ class TestGrowthSequences:
                 assert np.allclose(got, want, atol=1e-10, rtol=0)
                 assert abs(state.residual_norm - fresh.residual_norm) <= 1e-10
                 checked += 1
+
+
+class TestIndexArguments:
+    """Index arguments are sorted, deduplicated, range-checked and copied."""
+
+    def test_unsorted_duplicates_match_sorted_state(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            A = random_sparse(rng, 6, 0.5, diag_boost=1.0)
+            messy = ColumnLeastSquares(A, 1, [3, 1, 1])
+            clean = ColumnLeastSquares(A, 1, [1, 3])
+            assert messy.support.tobytes() == clean.support.tobytes()
+            assert messy.solution.tobytes() == clean.solution.tobytes()
+            assert messy.residual_norm == clean.residual_norm
+
+    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    def test_out_of_range_rejected(self, bad):
+        A = SparseMatrix.identity(4)
+        with pytest.raises(ValueError, match="out of range"):
+            ColumnLeastSquares(A, 0, [0, bad])
+        with pytest.raises(ValueError, match="out of range"):
+            ColumnLeastSquares(A, 0, [0]).augment([1, bad])
+        with pytest.raises(ValueError, match="out of range"):
+            gather_submatrix(A, [0, bad])
+
+    def test_caller_arrays_stay_writable_and_detached(self):
+        pattern, new, removed = np.array([0, 2]), np.array([3]), np.array([2])
+        state = ColumnLeastSquares(SparseMatrix.identity(4), 0, pattern)
+        state.augment(new)
+        state.shrink(removed)
+        assert pattern.flags.writeable and new.flags.writeable and removed.flags.writeable
+        pattern[0], new[0], removed[0] = 1, 1, 1
+        assert state.support.tolist() == [0, 3]
+        assert not state.support.flags.writeable

@@ -120,8 +120,8 @@ def test_shrink_block_matches_regather():
             before = state.rows.size
             state.shrink(subset(data, support, len(support) - 1))
             block, rows = gather_submatrix(A, state.support, [k])
-            assert state.rows.tolist() == rows.indices.tolist()
-            rhs = (rows.indices == k).astype(np.float64)
+            assert state.rows.tolist() == rows.tolist()
+            rhs = (rows == k).astype(np.float64)
             assert state.residual_norm == float(np.linalg.norm(block @ state.solution - rhs))
             lost_rows.append(state.rows.size < before)
 

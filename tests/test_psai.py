@@ -75,7 +75,7 @@ class TestBpsaiColumn:
             envelope = make_pattern(A, "iplusa", params.l_max)
             for k in range(10):
                 vec, _ = bpsai_column(A, k, params)
-                assert set(vec.indices.tolist()) <= set(envelope.column(k).tolist())
+                assert set(vec.indices.tolist()) <= set(envelope.column(k)[0].tolist())
 
     def test_loop_control_invariant(self):
         rng = np.random.default_rng(29)

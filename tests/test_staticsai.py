@@ -27,7 +27,7 @@ def dense_pattern_oracle(A: SparseMatrix, kind: str, k: int) -> np.ndarray:
 def pattern_to_dense(P) -> np.ndarray:
     out = np.zeros((P.nrows, P.ncols), dtype=bool)
     for j in range(P.ncols):
-        out[P.column(j), j] = True
+        out[P.column(j)[0], j] = True
     return out
 
 
@@ -69,6 +69,19 @@ class TestMakePattern:
 
 
 class TestStaticBuild:
+    @pytest.mark.parametrize("kind", ["abs", "normal"])
+    def test_empty_pattern_column_rejected_before_solving(self, monkeypatch, kind):
+        import saiprec.static
+
+        A = SparseMatrix.from_dense([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 4.0]])
+        pattern = make_pattern(A, kind, 1)  # row 1 of A is zero: column 1 is empty
+        assert pattern.column_nnz()[1] == 0
+        solved = []
+        monkeypatch.setattr(saiprec.static, "_static_column", lambda k, *args: solved.append(k))
+        with pytest.raises(ValueError, match="pattern column 1 is empty"):
+            static_build(A, pattern)
+        assert solved == []
+
     def test_identity_diagonal_pattern(self):
         A = SparseMatrix.identity(5)
         P = static_build(A, make_pattern(A, "iplusa", 1))
@@ -169,7 +182,7 @@ class TestPostfilter:
             for k, n in enumerate(np.diff(M.col_ptr))
         ]
         P = Preconditioner(
-            M=M, records=records, params=None, a_one_norm=1.0, a_nnz=3, origin="static:test"
+            M=M, records=records, params=None, a_one_norm=1.0, a_nnz=3
         )
         # column 1: eps_k -> floor 0.1, nnz 2, ||A||_1 = 1 -> tol = 0.05 exactly
         F = postfilter(A, P, floor=0.1)
@@ -194,7 +207,7 @@ class TestPostfilterGuard:
             for k, n in enumerate(M.column_nnz())
         ]
         P = Preconditioner(
-            M=M, records=records, params=None, a_one_norm=4.0, a_nnz=A.nnz, origin="static:test"
+            M=M, records=records, params=None, a_one_norm=4.0, a_nnz=A.nnz
         )
         F = postfilter(A, P, floor=0.1)
         expected = np.zeros((3, 3))

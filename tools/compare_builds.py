@@ -3,7 +3,7 @@
 
 ``run`` builds a fixed set of configurations with the saiprec found under
 ``--src`` and writes, for each one, the arrays of M (and of the postfiltered
-M_d for the static build), ``a_one_norm`` and every ``ColumnBuildRecord``
+M_d for the static builds), ``a_one_norm`` and every ``ColumnBuildRecord``
 field to one ``.npz`` file. ``compare`` lists the configurations whose arrays
 differ in any bit between two such files. From the repository root:
 
@@ -14,7 +14,10 @@ differ in any bit between two such files. From the repository root:
 The set: 240 small random builds (80 matrices of order 4-25 with
 small-integer entries, some block-diagonal, some with a zero column, each
 built with drop modes none, adaptive and fixed, on the right or the left side,
-with random epsilon and l_max); the static (I+A)^3 build of the benchmark's
+with random epsilon and l_max); the static builds of the same 80 matrices on
+their "abs" and "normal" patterns (random power 1-3, random postfilter floor)
+and the postfiltered M_d of each, except where a zero row of A leaves a
+pattern column empty; the static (I+A)^3 build of the benchmark's
 convection-diffusion operator and its postfiltered M_d; and the adaptive build
 of the benchmark's reservoir operator for seeds 0, 1 and 2. The large
 operators come from ``perfbench/generators.py``. BLAS runs on one thread
@@ -55,14 +58,29 @@ def _small_matrix(rng, case: int):
     return dense
 
 
+def _static(A, kind, power, floor):
+    from saiprec import static
+
+    P = static.static_build(A, static.make_pattern(A, kind, power), threads=1)
+    return [("M", P), ("Md", static.postfilter(A, P, floor=floor))]
+
+
 def _configs():
     """(name, thunk) pairs; each thunk returns a list of (label, Preconditioner)."""
-    from saiprec import SaiParams, SparseMatrix, build_preconditioner, static
+    from saiprec import SaiParams, SparseMatrix, build_preconditioner
     import generators
 
     rng = np.random.default_rng(20240601)
+    static_rng = np.random.default_rng(20240602)  # apart, so the other builds stay as they were
     for case in range(80):
-        A = SparseMatrix.from_dense(_small_matrix(rng, case))
+        dense = _small_matrix(rng, case)
+        A = SparseMatrix.from_dense(dense)
+        for kind in ("abs", "normal"):
+            power, floor = int(static_rng.integers(1, 4)), float(static_rng.uniform(0.0, 0.3))
+            if np.any(dense, axis=1).all():
+                yield (f"small{case:02d}-static-{kind}{power}",
+                       lambda A=A, kind=kind, power=power, floor=floor:
+                       _static(A, kind, power, floor))
         for mode in ("none", "adaptive", "fixed"):
             params = SaiParams(
                 epsilon=float(rng.uniform(0.05, 0.45)),
@@ -74,12 +92,7 @@ def _configs():
             yield (f"small{case:02d}-{mode}-{params.side}",
                    lambda A=A, params=params: [("M", build_preconditioner(A, params))])
 
-    def static_cd3d():
-        A = generators.convection_diffusion_3d()
-        P = static.static_build(A, static.make_pattern(A, "iplusa", 3), threads=1)
-        return [("M", P), ("Md", static.postfilter(A, P, floor=0.1))]
-
-    yield "static-cd3d", static_cd3d
+    yield "static-cd3d", lambda: _static(generators.convection_diffusion_3d(), "iplusa", 3, 0.1)
     for seed in (0, 1, 2):
         params = SaiParams(epsilon=0.2, l_max=8, drop_mode="adaptive")
         yield (f"adaptive-reservoir-{seed}",

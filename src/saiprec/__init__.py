@@ -8,7 +8,6 @@ BiCGStab/GMRES(m) solvers, and quality diagnostics.
 from .core import (
     MatrixMarketError,
     SparseMatrix,
-    SparseVector,
     assemble_columns,
     gather_submatrix,
     load_matrix_market,
@@ -37,7 +36,6 @@ from .diagnostics import (
 __all__ = [
     "MatrixMarketError",
     "SparseMatrix",
-    "SparseVector",
     "assemble_columns",
     "gather_submatrix",
     "load_matrix_market",

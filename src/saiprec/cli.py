@@ -29,7 +29,7 @@ from .core import load_matrix_market, save_matrix_market
 from .diagnostics import check_nonsingular
 from .krylov import SolveParams, solve
 from .psai import SaiParams, build_preconditioner
-from .static import PATTERN_KINDS, make_pattern, postfilter, static_build
+from .static import PATTERN_KINDS, _checked_floor, make_pattern, postfilter, static_build
 
 
 def _fmt(x) -> str:
@@ -182,7 +182,7 @@ OPTIONS = (
            "comma list of fixed tolerances", "", ("sweep",), "list"),
     Option("patterns", "--pattern", "[static] patterns", _parse_pattern,
            "iplusa:<k> | abs:<k> | normal:<k> (repeatable)", "iplusa:3", ("static",), "append"),
-    Option("floor", "--floor", "[static] floor", float,
+    Option("floor", "--floor", "[static] floor", _checked_floor,
            "residual floor inside the postfilter tolerance", commands=("static",)),
     Option("out", "--out", "[output] dir", Path, "output directory", "out", (*_RUNS, "report")),
     Option("threads", "--threads", "[output] threads", _parse_threads,
@@ -213,7 +213,7 @@ def load_spec_file(path) -> dict:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:  # no section header, a key or section given twice
+    except (OSError, configparser.Error) as exc:  # missing, unreadable or malformed
         raise SystemExit(f"{path}: {exc}") from None
     by_key = {o.key: o for o in OPTIONS if o.key}
     if parser.defaults():

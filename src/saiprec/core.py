@@ -13,7 +13,6 @@ from __future__ import annotations
 import gzip
 import io
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,52 +28,6 @@ def _as_index_array(indices) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("index set must be one-dimensional")
     return arr
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Sparse vector with strictly increasing indices and no stored zeros."""
-
-    dim: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = _as_index_array(self.indices)
-        vals = np.array(self.values, dtype=np.float64)
-        if idx.shape != vals.shape:
-            raise ValueError("indices and values must have equal length")
-        keep = vals != 0.0
-        if not np.all(keep):
-            idx, vals = idx[keep], vals[keep]
-        if idx.size:
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("vector indices must be strictly increasing")
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError("vector index out of range")
-        idx.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_dense(cls, x) -> "SparseVector":
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.nonzero(x)[0]
-        return cls(x.size, idx, x[idx])
-
-    @classmethod
-    def unit(cls, dim, k) -> "SparseVector":
-        return cls(dim, np.array([k], dtype=np.int64), np.array([1.0]))
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
 
 
 class SparseMatrix:
@@ -180,9 +133,6 @@ class SparseMatrix:
         lo, hi = self.col_ptr[k], self.col_ptr[k + 1]
         return self.row_idx[lo:hi], self.values[lo:hi]
 
-    def column_vector(self, k) -> SparseVector:
-        return SparseVector(self.nrows, *self.column(k))
-
     def column_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
 
@@ -223,8 +173,8 @@ class SparseMatrix:
         return float(sums.max())
 
     def matvec(self, x) -> np.ndarray:
-        """Product ``A @ x`` for a dense array or SparseVector; dense result."""
-        x = x.to_dense() if isinstance(x, SparseVector) else np.asarray(x, dtype=np.float64)
+        """Product ``A @ x`` for a dense array ``x``."""
+        x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
             raise ValueError("dimension mismatch")
         return self.to_scipy() @ x
@@ -275,21 +225,22 @@ def _gather(A: SparseMatrix, cols: np.ndarray, extra_rows: np.ndarray):
     return block, rows
 
 
-def assemble_columns(columns, nrows=None) -> SparseMatrix:
-    """Assemble SparseVector columns into a SparseMatrix, preserving order."""
+def assemble_columns(columns, nrows: int) -> SparseMatrix:
+    """Assemble ``(indices, values)`` column pairs, indices increasing, into
+    an ``nrows``-row SparseMatrix, preserving column order; exact zeros are
+    purged and the result is validated once, as a whole."""
     columns = list(columns)
     if not columns:
         raise ValueError("no columns to assemble")
-    if nrows is None:
-        nrows = columns[0].dim
-    if any(c.dim != nrows for c in columns):
-        raise ValueError("inconsistent column dimensions")
-    counts = np.array([c.nnz for c in columns], dtype=np.int64)
-    col_ptr = np.zeros(len(columns) + 1, dtype=np.int64)
-    np.cumsum(counts, out=col_ptr[1:])
-    row_idx = np.concatenate([c.indices for c in columns]) if counts.sum() else np.empty(0, np.int64)
-    values = np.concatenate([c.values for c in columns]) if counts.sum() else np.empty(0)
-    return SparseMatrix(nrows, len(columns), col_ptr, row_idx, values)
+    if any(len(idx) != len(vals) for idx, vals in columns):
+        raise ValueError("indices and values must have equal length")
+    raw_ptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx, _ in columns], out=raw_ptr[1:])
+    row_idx = np.concatenate([idx for idx, _ in columns])
+    values = np.concatenate([vals for _, vals in columns])
+    keep = values != 0.0
+    col_ptr = np.concatenate(([0], np.cumsum(keep)))[raw_ptr]
+    return SparseMatrix(nrows, len(columns), col_ptr, row_idx[keep], values[keep])
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ class SolveParams:
     def __post_init__(self):
         if self.method not in ("bicgstab", "gmres"):
             raise ValueError("method must be 'bicgstab' or 'gmres'")
-        if self.rel_tol <= 0.0:
+        if not self.rel_tol > 0.0:
             raise ValueError("rel_tol must be positive")
         if self.restart < 1:
             raise ValueError("restart length must be at least 1")

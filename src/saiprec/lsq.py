@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .core import SparseMatrix, SparseVector, _gather, _index_set
+from .core import SparseMatrix, _gather, _index_set
 
 _EPS = np.finfo(np.float64).eps
 
@@ -29,6 +29,9 @@ class ColumnLeastSquares:
     column with no pivot row left) switches solves to a minimum-norm fallback
     and sets :attr:`rank_flag`; after a shrink the flag is computed from the
     R factor of the new block when it is first read.
+
+    The builders hand ``(support, solution)`` on as the column of M; a
+    coefficient may come out exactly zero, and assembly purges it.
     """
 
     def __init__(self, A: SparseMatrix, k: int, pattern):
@@ -63,9 +66,6 @@ class ColumnLeastSquares:
         if self._rank_flag is None:
             self._rank_flag = self._deficient(np.linalg.qr(self._block, mode="r"))
         return self._rank_flag
-
-    def solution_vector(self) -> SparseVector:
-        return SparseVector(self._A.nrows, self._support, self._solution)
 
     # ------------------------------------------------------------------
     def augment(self, new_indices) -> "ColumnLeastSquares":

@@ -61,10 +61,10 @@ class SaiParams:
         if self.drop_mode not in DROP_MODES:
             raise ValueError(f"drop_mode must be one of {DROP_MODES}")
         if self.drop_mode == "fixed":
-            if self.tol is None or self.tol <= 0.0:
-                raise ValueError("fixed drop mode needs tol > 0")
-        if self.drop_scale < 0.0:
-            raise ValueError("drop_scale must be nonnegative")
+            if self.tol is None or not 0.0 < self.tol < np.inf:
+                raise ValueError("fixed drop mode needs tol > 0 and finite")
+        if not 0.0 <= self.drop_scale < np.inf:
+            raise ValueError("drop_scale must be nonnegative and finite")
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
 
@@ -135,11 +135,11 @@ class Preconditioner:
 
 def adaptive_drop_tolerance(epsilon: float, nnz_mk: int, a_one_norm: float) -> float:
     """Adaptive dropping tolerance eps / (nnz(m_k) * ||A||_1)."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
     if nnz_mk < 1:
         raise ValueError("nnz_mk must be at least 1")
-    if a_one_norm <= 0.0:
+    if not a_one_norm > 0.0:
         raise ValueError("a_one_norm must be positive")
     return epsilon / (nnz_mk * a_one_norm)
 
@@ -202,13 +202,13 @@ def _grow_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float |
             guard = True
         if small.any():
             state.shrink(state.support[small])
-    vec = state.solution_vector()
-    return vec, ColumnBuildRecord(
+    solution = state.solution
+    return (state.support, solution), ColumnBuildRecord(
         k=k,
         loops_used=l,
         pre_drop_residual=r_solve,
         post_drop_residual=state.residual_norm,
-        nnz_final=vec.nnz,
+        nnz_final=int(np.count_nonzero(solution)),
         met_accuracy=r_solve <= eps,
         rank_flag=state.rank_flag,
         guard_flag=guard,
@@ -219,12 +219,15 @@ def _grow_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float |
 
 
 def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):
-    """One column of the no-dropping adaptive builder."""
+    """One column of the no-dropping adaptive builder, as ``((indices, values),
+    record)`` with increasing indices; values may hold exact zeros, which
+    :func:`assemble_columns` purges (``record.nnz_final`` does not count them)."""
     return _grow_column(A, k, params, None)
 
 
 def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float):
-    """One column of the dropping builder (adaptive or fixed tolerance)."""
+    """One column of the dropping builder (adaptive or fixed tolerance), in the
+    form :func:`bpsai_column` returns."""
     if params.drop_mode == "none":
         raise ValueError("psai_tol_column needs a dropping mode")
     return _grow_column(A, k, params, a_one_norm)
@@ -257,9 +260,8 @@ def build_preconditioner(
     n = operand.ncols
 
     results = map_columns(_build_column, (operand, params, a_norm), n, threads)
-    columns = [vec for vec, _ in results]
+    M = assemble_columns([col for col, _ in results], n)
     records = [rec for _, rec in results]
-    M = assemble_columns(columns, nrows=n)
     if params.side == "left":
         M = M.transpose()
     return Preconditioner(

@@ -71,17 +71,17 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
 
 def _static_column(k, A, col_ptr, row_idx):
     state = ColumnLeastSquares(A, k, row_idx[col_ptr[k] : col_ptr[k + 1]])
-    vec = state.solution_vector()
+    solution = state.solution
     rec = ColumnBuildRecord(
         k=k,
         loops_used=0,
         pre_drop_residual=state.residual_norm,
         post_drop_residual=state.residual_norm,
-        nnz_final=vec.nnz,
+        nnz_final=int(np.count_nonzero(solution)),
         met_accuracy=None,
         rank_flag=state.rank_flag,
     )
-    return vec, rec
+    return (state.support, solution), rec
 
 
 def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Preconditioner:
@@ -104,17 +104,22 @@ def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Pr
     results = map_columns(
         _static_column, (A, pattern.col_ptr, pattern.row_idx), n, threads
     )
-    columns = [vec for vec, _ in results]
-    records = [rec for _, rec in results]
-
     return Preconditioner(
-        M=assemble_columns(columns, nrows=n),
-        records=records,
+        M=assemble_columns([col for col, _ in results], n),
+        records=[rec for _, rec in results],
         params=None,
         a_one_norm=a_norm,
         a_nnz=A.nnz,
         build_time=time.perf_counter() - start,
     )
+
+
+def _checked_floor(floor) -> float:
+    """The postfilter floor as a float; it must be finite and nonnegative."""
+    floor = float(floor)
+    if not 0.0 <= floor < np.inf:
+        raise ValueError(f"floor must be finite and nonnegative, got {floor!r}")
+    return floor
 
 
 def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Preconditioner:
@@ -124,6 +129,7 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
     where eps_k is the column's build residual and nnz(m_k) its pre-drop count.
     Post-drop residuals are recomputed; the result is marked filtered.
     """
+    floor = _checked_floor(floor)
     start = time.perf_counter()
     M = P.M
     counts = M.column_nnz()

@@ -44,6 +44,14 @@ def random_sparse(rng: np.random.Generator, n: int, density: float,
     return SparseMatrix.from_dense(dense)
 
 
+def dense_column(column, n: int) -> np.ndarray:
+    """A built ``(indices, values)`` column as a dense length-n vector."""
+    indices, values = column
+    out = np.zeros(n)
+    out[indices] = values
+    return out
+
+
 def random_well_conditioned(rng: np.random.Generator, n: int,
                             density: float = 0.35, cond_cap: float = 1e4) -> SparseMatrix:
     """Random sparse nonsingular matrix with a capped condition number."""

@@ -343,6 +343,11 @@ class TestOptionTable:
         ("[sai]\nlmax = 0\n", r"\[sai\] lmax: l_max must be at least 1"),
         ("[solve]\nrel_tol = -1\n", r"\[solve\] rel_tol: rel_tol must be positive"),
         ("[solve]\nmax_iters = 0\n", r"\[solve\] max_iters: max_iters must be at least 1"),
+        ("[static]\nfloor = nan\n", r"\[static\] floor: floor must be finite and nonnegative"),
+        ("[static]\nfloor = -1\n", r"\[static\] floor: floor must be finite and nonnegative"),
+        ("[solve]\nrel_tol = nan\n", r"\[solve\] rel_tol: rel_tol must be positive"),
+        ("[sai]\ndrop = fixed:nan\n", r"\[sai\] drop: fixed drop mode needs tol > 0"),
+        ("[sai]\ndrop = fixed:inf\n", r"\[sai\] drop: fixed drop mode needs tol > 0"),
     ])
     def test_spec_file_rejects(self, tmp_path, body, message):
         spec_path = tmp_path / "exp.spec"
@@ -352,6 +357,12 @@ class TestOptionTable:
         assert str(spec_path) in str(info.value)
         with pytest.raises(SystemExit, match=message):
             main(["build", "--spec", str(spec_path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_spec_file(self, tmp_path):
+        missing = tmp_path / "nothere.spec"
+        with pytest.raises(SystemExit, match=re.escape(f"{missing}: ") + ".*No such file"):
+            main(["build", "--spec", str(missing), "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     def test_empty_list_keeps_default(self, tmp_path):
@@ -371,6 +382,10 @@ class TestOptionTable:
         ["build", "--lmax", "0"],
         ["solve", "--rel-tol", "-1"],
         ["solve", "--max-iters", "0"],
+        ["static", "--floor", "nan"],
+        ["static", "--floor", "inf"],
+        ["solve", "--rel-tol", "nan"],
+        ["build", "--drop", "fixed:nan"],
     ])
     def test_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         flag = argv[1]

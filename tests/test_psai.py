@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import matrix_path, random_sparse, random_well_conditioned
+from conftest import dense_column, matrix_path, random_sparse, random_well_conditioned
 from saiprec.core import SparseMatrix, load_matrix_market
 from saiprec.psai import (
     SaiParams,
@@ -38,13 +38,31 @@ class TestAdaptiveDropTolerance:
         with pytest.raises(ValueError):
             adaptive_drop_tolerance(0.2, 1, 0.0)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            adaptive_drop_tolerance(np.nan, 1, 1.0)
+        with pytest.raises(ValueError):
+            adaptive_drop_tolerance(0.2, 1, np.nan)
+
+
+class TestSaiParams:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"drop_scale": np.nan}, "drop_scale must be nonnegative"),
+        ({"drop_scale": np.inf}, "drop_scale must be nonnegative"),
+        ({"drop_mode": "fixed", "tol": np.nan}, "fixed drop mode needs tol > 0"),
+        ({"drop_mode": "fixed", "tol": np.inf}, "fixed drop mode needs tol > 0"),
+    ])
+    def test_non_finite_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SaiParams(**kwargs)
+
 
 class TestBpsaiColumn:
     def test_identity(self):
         A = SparseMatrix.identity(4)
         params = SaiParams(epsilon=0.3, l_max=5, drop_mode="none")
         vec, rec = bpsai_column(A, 2, params)
-        assert vec.to_dense() == pytest.approx(np.eye(4)[2])
+        assert dense_column(vec, 4) == pytest.approx(np.eye(4)[2])
         assert rec.pre_drop_residual == pytest.approx(0.0, abs=1e-15)
         assert rec.loops_used == 0
 
@@ -52,7 +70,7 @@ class TestBpsaiColumn:
         A = SparseMatrix.from_dense(np.diag([2.0, 4.0, 8.0]))
         params = SaiParams(epsilon=0.3, l_max=5, drop_mode="none")
         vec, rec = bpsai_column(A, 2, params)
-        assert vec.to_dense() == pytest.approx([0.0, 0.0, 0.125])
+        assert dense_column(vec, 3) == pytest.approx([0.0, 0.0, 0.125])
         assert rec.met_accuracy
 
     def test_dense_inverse_oracle(self):
@@ -64,8 +82,8 @@ class TestBpsaiColumn:
             inv = np.linalg.inv(A.to_dense())
             for k in range(n):
                 vec, rec = bpsai_column(A, k, params)
-                if len(vec.indices) == n or rec.met_accuracy:
-                    assert np.allclose(vec.to_dense(), inv[:, k], atol=1e-8, rtol=0)
+                if np.count_nonzero(vec[1]) == n or rec.met_accuracy:
+                    assert np.allclose(dense_column(vec, n), inv[:, k], atol=1e-8, rtol=0)
 
     def test_pattern_containment(self):
         rng = np.random.default_rng(23)
@@ -75,7 +93,7 @@ class TestBpsaiColumn:
             envelope = make_pattern(A, "iplusa", params.l_max)
             for k in range(10):
                 vec, _ = bpsai_column(A, k, params)
-                assert set(vec.indices.tolist()) <= set(envelope.column(k)[0].tolist())
+                assert set(vec[0].tolist()) <= set(envelope.column(k)[0].tolist())
 
     def test_loop_control_invariant(self):
         rng = np.random.default_rng(29)
@@ -95,7 +113,7 @@ class TestPsaiTolColumn:
         for k in range(5):
             vec_d, rec_d = psai_tol_column(A, k, params, A.one_norm())
             vec_b, rec_b = bpsai_column(A, k, SaiParams(epsilon=0.3, l_max=5, drop_mode="none"))
-            assert np.array_equal(vec_d.to_dense(), vec_b.to_dense())
+            assert np.array_equal(dense_column(vec_d, 5), dense_column(vec_b, 5))
             assert rec_d.nnz_final == rec_b.nnz_final == 1
 
     def test_residual_doubling_contract(self):
@@ -122,7 +140,7 @@ class TestPsaiTolColumn:
             e = np.zeros(10)
             e[k] = 1.0
             assert rec.post_drop_residual == pytest.approx(
-                np.linalg.norm(dense @ vec.to_dense() - e), abs=1e-12
+                np.linalg.norm(dense @ dense_column(vec, 10) - e), abs=1e-12
             )
 
     def test_adaptive_sparser_than_none(self):
@@ -153,7 +171,7 @@ class TestPsaiTolColumn:
         params = SaiParams(epsilon=0.01, l_max=4, drop_mode="fixed", tol=1e6)
         vec, rec = psai_tol_column(A, 0, params, A.one_norm())
         assert rec.guard_flag
-        assert vec.nnz == 1
+        assert np.count_nonzero(vec[1]) == 1
 
     def test_fixed_mode_records_adaptive_range(self):
         rng = np.random.default_rng(47)
@@ -163,6 +181,32 @@ class TestPsaiTolColumn:
             _, rec = psai_tol_column(A, k, params, A.one_norm())
             if rec.loops_used and rec.tol_min is not None:
                 assert rec.tol_min <= rec.tol_max
+
+
+class TestNnzFinalMatchesM:
+    """A least-squares coefficient that comes out exactly 0.0 is purged when
+    M is assembled, and ``record.nnz_final`` counts the entries M stores."""
+
+    # column 0 of the inverse is e_1: the coefficient of index 0 is exactly 0
+    PERM = SparseMatrix.from_dense([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    ARROW = SparseMatrix.from_dense([[4.0, 1.0, 1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+
+    @pytest.mark.parametrize("A, kind", [(PERM, "iplusa"), (ARROW, "abs"), (ARROW, "normal")])
+    def test_static_build(self, A, kind):
+        pattern = make_pattern(A, kind, 2)
+        P = static_build(A, pattern)
+        # every pattern index is solved for, so a shorter M column held a 0.0
+        assert np.any(P.M.column_nnz() < pattern.column_nnz())
+        assert [r.nnz_final for r in P.records] == P.M.column_nnz().tolist()
+
+    @pytest.mark.parametrize("drop_mode", ["none", "adaptive"])
+    def test_build_preconditioner(self, drop_mode):
+        params = SaiParams(epsilon=0.05, l_max=8, drop_mode=drop_mode)
+        if drop_mode == "none":
+            columns = [bpsai_column(self.PERM, k, params)[0] for k in range(3)]
+            assert sum(np.count_nonzero(vals == 0.0) for _, vals in columns) > 0
+        P = build_preconditioner(self.PERM, params)
+        assert [r.nnz_final for r in P.records] == P.M.column_nnz().tolist()
 
 
 class TestBuildPreconditioner:

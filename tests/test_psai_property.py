@@ -70,7 +70,7 @@ def dense_reference_column(A: SparseMatrix, k: int, params: SaiParams):
             state.augment(new)
         else:
             idle += 1
-    return state.solution_vector(), l, stalled, idle
+    return (state.support, state.solution), l, stalled, idle
 
 
 @st.composite
@@ -127,8 +127,8 @@ def test_column_growth_matches_dense_reference():
         vec, rec = bpsai_column(A, k, params)
         ref_vec, loops, stalled, idle = dense_reference_column(A, k, params)
         assert (rec.loops_used, rec.stalled) == (loops, stalled)
-        assert np.array_equal(vec.indices, ref_vec.indices)
-        assert vec.values.tobytes() == ref_vec.values.tobytes()
+        assert np.array_equal(vec[0], ref_vec[0])
+        assert vec[1].tobytes() == ref_vec[1].tobytes()
         stalled_after_growing.append(stalled and loops > 0)
         idle_loops.append(idle)
 

@@ -7,7 +7,6 @@ from conftest import matrix_path, random_sparse
 from saiprec.core import (
     MatrixMarketError,
     SparseMatrix,
-    SparseVector,
     assemble_columns,
     gather_submatrix,
     load_matrix_market,
@@ -146,8 +145,6 @@ class TestMatvec:
             x = rng.standard_normal(8)
             expected = A.to_dense() @ x
             assert np.allclose(A.matvec(x), expected, atol=1e-14, rtol=0)
-            xs = SparseVector.from_dense(x * (rng.random(8) < 0.5))
-            assert np.allclose(A.matvec(xs), A.to_dense() @ xs.to_dense(), atol=1e-14, rtol=0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -207,13 +204,13 @@ class TestTransposeAssemble:
         assert np.array_equal(A.transpose().to_dense(), dense.T)
 
     def test_assemble_unit_columns(self):
-        cols = [SparseVector.unit(4, k) for k in range(4)]
-        assert assemble_columns(cols).equals(SparseMatrix.identity(4))
+        cols = [(np.array([k]), np.array([1.0])) for k in range(4)]
+        assert assemble_columns(cols, 4).equals(SparseMatrix.identity(4))
 
     def test_assemble_round_trip_bit_exact(self):
         rng = np.random.default_rng(13)
         A = random_sparse(rng, 8, 0.35)
-        cols = [A.column_vector(k) for k in range(8)]
+        cols = [A.column(k) for k in range(8)]
         B = assemble_columns(cols, nrows=8)
         assert A.equals(B)
 
@@ -240,8 +237,8 @@ class TestInvariants:
         assert np.array_equal(block, np.eye(2))
 
     def test_vector_purges_zeros(self):
-        v = SparseVector(4, np.array([0, 2]), np.array([0.0, 5.0]))
-        assert v.nnz == 1 and v.indices[0] == 2
+        B = assemble_columns([(np.array([0, 2]), np.array([0.0, 5.0]))], 4)
+        assert B.nnz == 1 and B.row_idx[0] == 2
 
 
 class TestNonFinite:
@@ -260,15 +257,13 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="non-finite"):
             SparseMatrix.from_coo(2, 2, [0, 1], [0, 1], [1.0, bad])
         with pytest.raises(ValueError, match="non-finite"):
-            assemble_columns([SparseVector(2, [0], [1.0]), SparseVector(2, [1], [bad])])
+            assemble_columns([([0], [1.0]), ([1], [bad])], 2)
 
 
 class TestConstructorsCopyInputs:
     def test_caller_arrays_stay_writable_and_detached(self):
         idx, vals, col_ptr = np.array([0, 2]), np.array([1.0, 2.0]), np.array([0, 2])
-        v = SparseVector(3, idx, vals)
         A = SparseMatrix(3, 1, col_ptr, idx, vals)
         idx[0], vals[0], col_ptr[1] = 1, 5.0, 1
-        assert v.indices.tolist() == [0, 2] and v.values.tolist() == [1.0, 2.0]
         assert A.col_ptr.tolist() == [0, 2]
         assert A.row_idx.tolist() == [0, 2] and A.values.tolist() == [1.0, 2.0]

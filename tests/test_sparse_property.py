@@ -1,5 +1,6 @@
-"""Property tests: SparseMatrix.from_coo against a dense np.add.at oracle, and
-the Matrix Market writer and reader (round trip and symmetric expansion)."""
+"""Property tests: SparseMatrix.from_coo and assemble_columns against a dense
+np.add.at oracle, and the Matrix Market writer and reader (round trip and
+symmetric expansion)."""
 
 import tempfile
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saiprec.core import SparseMatrix, load_matrix_market, save_matrix_market
+from saiprec.core import SparseMatrix, assemble_columns, load_matrix_market, save_matrix_market
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
@@ -26,6 +27,20 @@ def triplets(draw, nrows, ncols, values):
     rows = np.array([i for i, _, _ in entries], dtype=np.int64)
     cols = np.array([j for _, j, _ in entries], dtype=np.int64)
     return rows, cols, np.array([v for _, _, v in entries], dtype=float)
+
+
+@st.composite
+def built_columns(draw, nrows):
+    """``(indices, values)`` columns with increasing indices, as the builders
+    emit them: values may be exact zeros (of either sign), columns may be empty."""
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        idx = sorted(draw(st.sets(st.integers(0, nrows - 1))))
+        vals = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(
+            allow_nan=False, allow_infinity=False, allow_subnormal=True)),
+            min_size=len(idx), max_size=len(idx)))
+        columns.append((np.array(idx, dtype=np.int64), np.array(vals, dtype=float)))
+    return columns
 
 
 def dense_oracle(nrows, ncols, rows, cols, vals):
@@ -61,6 +76,25 @@ def test_from_coo_matches_dense_oracle(data, nrows, ncols):
     dense = dense_oracle(nrows, ncols, rows, cols, vals)
     assert np.array_equal(A.to_dense(), dense)
     assert A.nnz == np.count_nonzero(dense)
+
+
+@PROPERTY
+@given(data=st.data(), nrows=st.integers(1, 7))
+def test_assemble_columns_matches_dense_oracle(data, nrows):
+    columns = data.draw(built_columns(nrows))
+    A = assemble_columns(columns, nrows)
+    check_csc_invariants(A)
+    assert A.shape == (nrows, len(columns))
+    rows = np.concatenate([idx for idx, _ in columns])
+    cols = np.repeat(np.arange(len(columns)), [idx.size for idx, _ in columns])
+    dense = dense_oracle(nrows, len(columns), rows, cols, np.concatenate([v for _, v in columns]))
+    assert np.array_equal(A.to_dense(), dense)
+    assert A.nnz == np.count_nonzero(dense)
+    # each column keeps its nonzero values in order, bit for bit
+    for k, (idx, vals) in enumerate(columns):
+        got_idx, got_vals = A.column(k)
+        assert np.array_equal(got_idx, idx[vals != 0.0])
+        assert got_vals.tobytes() == vals[vals != 0.0].tobytes()
 
 
 @PROPERTY

@@ -169,6 +169,13 @@ class TestPostfilter:
         aggressive = postfilter(A, P, floor=0.5)
         assert aggressive.M.nnz <= mild.M.nnz
 
+    @pytest.mark.parametrize("floor", [np.nan, np.inf, -0.1])
+    def test_non_finite_or_negative_floor_rejected(self, floor):
+        A = SparseMatrix.from_dense([[2.0, 1.0], [1.0, 3.0]])
+        P = static_build(A, make_pattern(A, "iplusa", 1))
+        with pytest.raises(ValueError, match="floor must be finite and nonnegative"):
+            postfilter(A, P, floor=floor)
+
     def test_threshold_is_inclusive(self):
         # entries exactly equal to the tolerance are dropped
         dense = np.eye(3)

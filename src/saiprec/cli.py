@@ -293,7 +293,7 @@ BUILD_HEADER = [
 COLUMNS_HEADER = ["k", "pre_drop", "post_drop", "nnz", "loops", "drop"]
 SOLVE_HEADER = [
     "matrix", "method", "side", "precond", "converged", "dagger", "iters",
-    "matvecs", "precond_applies", "rel_residual", "stime",
+    "matvecs", "precond_applies", "rel_residual", "stime", "reason",
 ]
 SWEEP_HEADER = [
     "matrix", "mode", "value", "spar", "ptime", "iter_b", "iter_g", "dagger_b",
@@ -347,10 +347,12 @@ def cmd_solve(spec: ExperimentSpec) -> int:
             rows.append([
                 name, method, params.side, label, rep.converged, dagger, rep.iters,
                 rep.matvecs, rep.precond_applies, rep.final_rel_residual, rep.solve_time,
+                rep.reason,
             ])
             print(
                 f"{name} {method}: converged={rep.converged}{'†' if dagger else ''} "
-                f"iters={rep.iters:g} matvecs={rep.matvecs} rel_res={rep.final_rel_residual:.3e}"
+                f"iters={rep.iters:g} matvecs={rep.matvecs} rel_res={rep.final_rel_residual:.3e} "
+                f"reason={rep.reason}"
             )
     _write_csv(spec.out / "solve.csv", SOLVE_HEADER, rows, mode="a")
     return 0

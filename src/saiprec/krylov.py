@@ -5,11 +5,16 @@ Both solvers start from x0 = 0, apply the preconditioner from the right
 convergence after recomputing the true residual ||b - A x||_2 / ||b||_2 of the
 original system. BiCGStab counts full steps with converged half-steps reported
 as +0.5 (one full step performs two products with A); GMRES counts the total
-number of inner Arnoldi steps across restarts.
+number of inner Arnoldi steps across restarts. GMRES keeps its Krylov basis as
+the rows of one array and orthogonalizes by classical Gram-Schmidt, each pass
+two products with the basis, with a second pass only when the first cancels
+much of the vector. Products with A and M run on each matrix's cached CSR
+copy. ``SolveReport.reason`` says why a solve stopped.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -17,7 +22,7 @@ import numpy as np
 
 from .core import SparseMatrix
 
-_REORTH_THRESHOLD = 0.7071  # reorthogonalize when MGS loses half the mass
+_REORTH_THRESHOLD = 0.7071  # second CGS pass when the first loses half the mass
 _BREAKDOWN_FLOOR = 1e-300
 
 
@@ -32,8 +37,8 @@ class SolveParams:
     def __post_init__(self):
         if self.method not in ("bicgstab", "gmres"):
             raise ValueError("method must be 'bicgstab' or 'gmres'")
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < 1.0:  # also rejects NaN and inf
+            raise ValueError("rel_tol must be positive and below 1")
         if self.restart < 1:
             raise ValueError("restart length must be at least 1")
         if self.max_iters < 1:
@@ -53,16 +58,26 @@ class SolveReport:
     breakdown: bool = False
     stagnated: bool = False
     residual_history: list = field(default_factory=list)
+    # why the solve stopped, set at every exit: "converged", "max_iters",
+    # "breakdown", "stagnated", or "non-finite" (a residual or Arnoldi norm
+    # became NaN or inf)
+    reason: str = ""
+
+    def stop(self, reason: str):
+        """Record why the solve stopped; a converged solve says so."""
+        self.reason = "converged" if self.converged else reason
+        self.breakdown = reason == "breakdown"
+        self.stagnated = reason == "stagnated"
 
 
 class _Operators:
     """Wraps A and optional M into the preconditioned operator, with counts."""
 
     def __init__(self, A: SparseMatrix, M, side: str):
-        self.A = A.to_scipy()
+        self.A = A.to_csr()
         if M is None:
             side = "none"
-        self.M = M.to_scipy() if M is not None else None
+        self.M = M.to_csr() if M is not None else None
         self.side = side
         self.matvecs = 0
         self.precond_applies = 0
@@ -120,6 +135,7 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         report.converged = True
+        report.stop("converged")
         report.final_rel_residual = 0.0
         report.solve_time = time.perf_counter() - start
         return np.zeros(A.ncols), report
@@ -128,7 +144,7 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         # left preconditioner annihilated b: no usable information
-        report.breakdown = True
+        report.stop("breakdown")
         report.final_rel_residual = 1.0
         report.solve_time = time.perf_counter() - start
         return np.zeros(A.ncols), report
@@ -150,11 +166,12 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
         return None
 
     x_out = None
+    stop = "max_iters"
     it = 0
     for it in range(1, params.max_iters + 1):
         rho_new = float(r_hat @ r)
         if abs(rho_new) < _BREAKDOWN_FLOOR:
-            report.breakdown = True
+            stop = "breakdown"
             break
         if it == 1:
             p = r.copy()
@@ -165,12 +182,15 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
         v = ops.op(p)
         denom = float(r_hat @ v)
         if abs(denom) < _BREAKDOWN_FLOOR:
-            report.breakdown = True
+            stop = "breakdown"
             break
         alpha = rho / denom
         s = r - alpha * v
         h = y + alpha * p
         s_norm = float(np.linalg.norm(s))
+        if not math.isfinite(s_norm):
+            stop = "non-finite"
+            break
         report.residual_history.append(s_norm / rhs_norm)
         if s_norm / rhs_norm < params.rel_tol:
             x_out = accept(h, it - 0.5)
@@ -179,20 +199,23 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
         t = ops.op(s)
         tt = float(t @ t)
         if tt < _BREAKDOWN_FLOOR:
-            report.breakdown = True
+            stop = "breakdown"
             y = h
             break
         omega = float(t @ s) / tt
         y = h + omega * s
         r = s - omega * t
         r_norm = float(np.linalg.norm(r))
+        if not math.isfinite(r_norm):
+            stop = "non-finite"
+            break
         report.residual_history.append(r_norm / rhs_norm)
         if r_norm / rhs_norm < params.rel_tol:
             x_out = accept(y, float(it))
             if x_out is not None:
                 break
         if abs(omega) < _BREAKDOWN_FLOOR:
-            report.breakdown = True
+            stop = "breakdown"
             break
 
     if x_out is None:
@@ -200,6 +223,7 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
         report.final_rel_residual = ops.true_rel_residual(x_out, b, bnorm)
         report.converged = report.final_rel_residual < params.rel_tol
         report.iters = float(it)
+    report.stop(stop)
     report.matvecs = ops.matvecs
     report.precond_applies = ops.precond_applies
     report.solve_time = time.perf_counter() - start
@@ -207,12 +231,18 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
 
 
 def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(method="gmres")):
-    """Restarted GMRES(m) with modified Gram-Schmidt Arnoldi.
+    """Restarted GMRES(m) with classical Gram-Schmidt Arnoldi on a row basis.
 
-    One reorthogonalization pass runs whenever MGS loses more than half of a
-    vector's mass. ``params.max_iters`` caps the number of restart cycles;
+    The basis vectors are the rows of ``V``, so one pass against all of them
+    is two BLAS products: ``h = V[:j+1] @ w``, then ``w -= h @ V[:j+1]``. A
+    second pass runs when the first leaves less than ``_REORTH_THRESHOLD`` of
+    the vector's norm; classical Gram-Schmidt with such a pass is as stable
+    as modified Gram-Schmidt with reorthogonalization (Giraud, Langou &
+    Rozloznik, 2005). The Hessenberg columns and Givens rotations are Python
+    floats. ``params.max_iters`` caps the number of restart cycles;
     ``report.iters`` counts total inner steps. A cycle that makes no progress
-    sets the stagnation flag and stops.
+    sets the stagnation flag and stops; a NaN or infinite residual or Arnoldi
+    norm stops the solve at once, keeping the last finished cycle's iterate.
     """
     start = time.perf_counter()
     b = _checked_rhs(A, b)
@@ -221,6 +251,7 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         report.converged = True
+        report.stop("converged")
         report.final_rel_residual = 0.0
         report.solve_time = time.perf_counter() - start
         return np.zeros(A.ncols), report
@@ -231,21 +262,20 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
     rhs = ops.rhs(b)
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        report.breakdown = True
+        report.stop("breakdown")
         report.final_rel_residual = 1.0
         report.solve_time = time.perf_counter() - start
         return np.zeros(A.ncols), report
     inner_total = 0
     prev_beta = None
-
-    def user_x(x_curr):
-        return ops.to_user(x_curr)
+    stop = "max_iters"
 
     def finish(x_curr, converged_hint):
-        xu = user_x(x_curr)
+        xu = ops.to_user(x_curr)
         rel = ops.true_rel_residual(xu, b, bnorm)
         report.final_rel_residual = rel
         report.converged = converged_hint and rel < params.rel_tol
+        report.stop(stop)
         report.iters = float(inner_total)
         report.matvecs = ops.matvecs
         report.precond_applies = ops.precond_applies
@@ -254,12 +284,15 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
 
     for _cycle in range(params.max_iters):
         if ops.side == "right":
-            r = rhs - ops.apply_a(user_x(x))
+            r = rhs - ops.apply_a(ops.to_user(x))
         elif ops.side == "left":
             r = ops.apply_m(b - ops.apply_a(x))
         else:
             r = rhs - ops.apply_a(x)
         beta = float(np.linalg.norm(r))
+        if not math.isfinite(beta):
+            stop = "non-finite"
+            break
         if beta / rhs_norm < params.rel_tol:
             xu = finish(x, True)
             if report.converged:
@@ -267,67 +300,73 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
             if beta == 0.0:
                 # exactly solved in the preconditioned space but not in the
                 # original one: no direction left to improve
-                report.breakdown = True
+                stop = "breakdown"
                 break
         if prev_beta is not None and beta >= prev_beta * (1.0 - 1e-12):
             # a restart that reproduces its starting residual can never
             # make progress again: same space, same minimizer
-            report.stagnated = True
+            stop = "stagnated"
             break
         prev_beta = beta
-        V = np.zeros((n, m + 1))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[:, 0] = r / beta
-        j_done = 0
+        V = np.zeros((m + 1, n))
+        V[0] = r / beta
+        R = []  # columns of the rotated (upper triangular) Hessenberg matrix
+        cs, sn = [], []
+        g = [beta]  # rotated right-hand side beta * e_1
         hit_tol = False
         for j in range(m):
-            w = ops.op(V[:, j])
+            w = ops.op(V[j])
             norm_before = float(np.linalg.norm(w))
-            for i in range(j + 1):
-                H[i, j] = float(V[:, i] @ w)
-                w -= H[i, j] * V[:, i]
-            if float(np.linalg.norm(w)) < _REORTH_THRESHOLD * norm_before:
-                for i in range(j + 1):
-                    c = float(V[:, i] @ w)
-                    H[i, j] += c
-                    w -= c * V[:, i]
-            H[j + 1, j] = float(np.linalg.norm(w))
+            basis = V[: j + 1]
+            h = basis @ w
+            w -= h @ basis
+            h_next = float(np.linalg.norm(w))
+            if h_next < _REORTH_THRESHOLD * norm_before:
+                c = basis @ w
+                w -= c @ basis
+                h += c
+                h_next = float(np.linalg.norm(w))
             inner_total += 1
-            j_done = j + 1
-            happy = H[j + 1, j] == 0.0
+            if not math.isfinite(h_next):
+                stop = "non-finite"
+                break
+            happy = h_next == 0.0
             if not happy:
-                V[:, j + 1] = w / H[j + 1, j]
+                V[j + 1] = w / h_next
             # apply accumulated Givens rotations, then form the new one
+            col = h.tolist()
             for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            denom = np.hypot(H[j, j], H[j + 1, j])
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      -sn[i] * col[i] + cs[i] * col[i + 1])
+            denom = math.hypot(col[j], h_next)
             if denom == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
+                cs.append(1.0)
+                sn.append(0.0)
             else:
-                cs[j], sn[j] = H[j, j] / denom, H[j + 1, j] / denom
-            H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
+                cs.append(col[j] / denom)
+                sn.append(h_next / denom)
+            col[j] = cs[j] * col[j] + sn[j] * h_next
+            R.append(col)
+            g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
             inner_res = abs(g[j + 1]) / rhs_norm
             report.residual_history.append(inner_res)
             if happy or inner_res < params.rel_tol:
                 hit_tol = True
                 break
-        # solve the small triangular system and update the iterate
-        jj = j_done
-        y_small = np.zeros(jj)
+        if stop == "non-finite":
+            break
+        # back-substitute for the small triangular system, update the iterate
+        jj = len(R)
+        y_small = [0.0] * jj
         for i in range(jj - 1, -1, -1):
-            if H[i, i] == 0.0:  # exactly solved direction; coefficient is free
+            if R[i][i] == 0.0:  # exactly solved direction; coefficient is free
                 continue
-            y_small[i] = (g[i] - H[i, i + 1 : jj] @ y_small[i + 1 : jj]) / H[i, i]
-        x = x + V[:, :jj] @ y_small
+            acc = g[i]
+            for k in range(i + 1, jj):
+                acc -= R[k][i] * y_small[k]
+            y_small[i] = acc / R[i][i]
+        x = x + np.array(y_small) @ V[:jj]
         if hit_tol:
             xu = finish(x, True)
             if report.converged:

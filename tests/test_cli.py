@@ -93,6 +93,7 @@ class TestSolveCommand:
         prec = [r for r in rows if r["precond"] != "none"]
         plain = [r for r in rows if r["precond"] == "none"]
         assert all(r["converged"] == "1" for r in rows)
+        assert all(r["reason"] == "converged" for r in rows)
         for p, q in zip(prec, plain):
             assert float(p["iters"]) <= float(q["iters"])
 
@@ -348,6 +349,8 @@ class TestOptionTable:
         ("[solve]\nrel_tol = nan\n", r"\[solve\] rel_tol: rel_tol must be positive"),
         ("[sai]\ndrop = fixed:nan\n", r"\[sai\] drop: fixed drop mode needs tol > 0"),
         ("[sai]\ndrop = fixed:inf\n", r"\[sai\] drop: fixed drop mode needs tol > 0"),
+        ("[solve]\nrel_tol = inf\n", r"\[solve\] rel_tol: rel_tol must be positive and below 1"),
+        ("[solve]\nrel_tol = 1\n", r"\[solve\] rel_tol: rel_tol must be positive and below 1"),
     ])
     def test_spec_file_rejects(self, tmp_path, body, message):
         spec_path = tmp_path / "exp.spec"
@@ -386,6 +389,8 @@ class TestOptionTable:
         ["static", "--floor", "inf"],
         ["solve", "--rel-tol", "nan"],
         ["build", "--drop", "fixed:nan"],
+        ["solve", "--rel-tol", "inf"],
+        ["solve", "--rel-tol", "1"],
     ])
     def test_flag_value_is_usage_error(self, tmp_path, capsys, argv):
         flag = argv[1]

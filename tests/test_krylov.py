@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import random_sparse, random_well_conditioned
 from saiprec.core import SparseMatrix
@@ -173,6 +174,28 @@ class TestPreconditionedSolves:
         assert rep.precond_applies > 0
 
 
+class TestCsrCopies:
+    def test_built_once_per_matrix(self, monkeypatch):
+        """Repeated solves with the same A and M convert each matrix once."""
+        converted = []
+        tocsr = sp.csc_matrix.tocsr
+
+        def counting(self, *args, **kwargs):
+            converted.append(self.shape)
+            return tocsr(self, *args, **kwargs)
+
+        rng = np.random.default_rng(37)
+        A = random_well_conditioned(rng, 12, density=0.5)
+        M = SparseMatrix.identity(12)
+        b = A.matvec(np.ones(12))
+        monkeypatch.setattr(sp.csc_matrix, "tocsr", counting)
+        for _ in range(2):
+            for method, fn in (("bicgstab", bicgstab), ("gmres", gmres_restart)):
+                _, rep = fn(A, b, M=M, params=SolveParams(method=method))
+                assert rep.converged
+        assert len(converted) == 2
+
+
 class TestEdgeCases:
     def test_bicgstab_breakdown_flagged(self):
         # rotation matrix: the shadow residual is orthogonal to A p at once
@@ -211,3 +234,64 @@ class TestRightHandSideValidation:
     def test_rejects_wrong_length_rhs(self, fn, method):
         with pytest.raises(ValueError, match=r"shape \(3,\)"):
             fn(SparseMatrix.identity(3), np.ones(4), params=SolveParams(method=method, side="none"))
+
+
+class TestSolveParams:
+    @pytest.mark.parametrize("rel_tol", [np.inf, 1.0, 2.0, np.nan, 0.0, -1.0])
+    def test_rel_tol_must_lie_in_open_unit_interval(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be positive and below 1"):
+            SolveParams(rel_tol=rel_tol)
+
+
+class TestStopReason:
+    """Every exit of both solvers names its reason, and the flags agree."""
+
+    def check(self, rep, reason):
+        assert rep.reason == reason
+        assert rep.converged == (reason == "converged")
+        assert rep.breakdown == (reason == "breakdown")
+        assert rep.stagnated == (reason == "stagnated")
+
+    @pytest.mark.parametrize("fn, method", [(bicgstab, "bicgstab"), (gmres_restart, "gmres")])
+    def test_converged(self, fn, method):
+        rng = np.random.default_rng(13)
+        A = random_well_conditioned(rng, 10, density=0.6)
+        _, rep = fn(A, A.matvec(np.ones(10)), params=SolveParams(method=method, side="none"))
+        self.check(rep, "converged")
+        _, rep = fn(A, np.zeros(10), params=SolveParams(method=method, side="none"))
+        self.check(rep, "converged")
+
+    @pytest.mark.parametrize("fn, method", [(bicgstab, "bicgstab"), (gmres_restart, "gmres")])
+    def test_max_iters(self, fn, method):
+        rng = np.random.default_rng(11)
+        A = random_sparse(rng, 20, 0.3, diag_boost=0.05)
+        params = SolveParams(method=method, restart=2, side="none", max_iters=2)
+        _, rep = fn(A, A.matvec(np.ones(20)), params=params)
+        self.check(rep, "max_iters")
+
+    def test_breakdown(self):
+        A = SparseMatrix.from_dense([[0.0, 1.0], [-1.0, 0.0]])
+        _, rep = bicgstab(A, np.array([1.0, 0.0]), params=SolveParams(side="none"))
+        self.check(rep, "breakdown")
+        # a left preconditioner with b in its null space: M b = 0
+        M = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
+        A, b = SparseMatrix.identity(2), np.array([0.0, 1.0])
+        for fn, method in ((bicgstab, "bicgstab"), (gmres_restart, "gmres")):
+            _, rep = fn(A, b, M=M, params=SolveParams(method=method, side="left"))
+            self.check(rep, "breakdown")
+
+    def test_stagnated(self):
+        A = SparseMatrix.from_coo(4, 4, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
+        params = SolveParams(method="gmres", restart=4, side="none", max_iters=50)
+        _, rep = gmres_restart(A, np.array([0.0, 0.0, 0.0, 1.0]), params=params)
+        self.check(rep, "stagnated")
+
+    @pytest.mark.parametrize("fn, method", [(bicgstab, "bicgstab"), (gmres_restart, "gmres")])
+    def test_non_finite_stops_at_once(self, fn, method):
+        # products overflow, so the first norm that sees them is inf or NaN
+        A, b = SparseMatrix.from_dense([[1e308, 1e308], [0.0, 1e308]]), np.ones(2)
+        params = SolveParams(method=method, side="none", max_iters=30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, rep = fn(A, b, params=params)
+        self.check(rep, "non-finite")
+        assert rep.iters <= 1  # not run on to the cap of 30 cycles or steps

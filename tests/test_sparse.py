@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -149,6 +150,27 @@ class TestMatvec:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             SparseMatrix.identity(3).matvec(np.ones(4))
+
+
+class TestCsrCopy:
+    def test_equals_scipy_conversion(self):
+        rng = np.random.default_rng(12)
+        for shape in ((8, 8), (5, 9), (9, 5), (4, 4)):
+            dense = rng.standard_normal(shape) * (rng.random(shape) < 0.4)
+            A = SparseMatrix.from_dense(dense)
+            csr, ref = A.to_csr(), A.to_scipy().tocsr()
+            assert csr.format == "csr" and csr.shape == ref.shape
+            assert np.array_equal(csr.indptr, ref.indptr)
+            assert np.array_equal(csr.indices, ref.indices)
+            assert np.array_equal(csr.data, ref.data)
+            assert A.to_csr() is csr
+
+    def test_pickling_drops_cached_copies(self):
+        A = random_sparse(np.random.default_rng(13), 6, 0.5, diag_boost=1.0)
+        A.to_csr()
+        B = pickle.loads(pickle.dumps(A))
+        assert B._csr_cache is None and B._scipy_cache is None
+        assert B.equals(A)
 
 
 class TestGatherSubmatrix:

@@ -53,6 +53,18 @@ def _write_csv(path: Path, header, rows, mode="w"):
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+def _check_header(path: Path, header):
+    """Stop unless ``path`` is absent or starts with ``header``, so that rows
+    appended to it line up with its columns."""
+    if not path.exists():
+        return
+    with open(path, newline="") as fh:
+        found = next(csv.reader(fh), [])
+    if found != list(header):
+        raise SystemExit(f"{path}: header has columns {','.join(found)}, expected "
+                         f"{','.join(header)}; move the file or choose another --out")
+
+
 def _parse_drop(text: str) -> dict:
     """SaiParams keywords for ``adaptive``, ``none`` or ``fixed:<tol>``."""
     if text in ("adaptive", "none"):
@@ -330,6 +342,7 @@ def cmd_build(spec: ExperimentSpec) -> int:
 
 
 def cmd_solve(spec: ExperimentSpec) -> int:
+    _check_header(spec.out / "solve.csv", SOLVE_HEADER)
     rows = []
     for name, A in _matrices(spec):
         if spec.no_precond:

@@ -6,7 +6,8 @@ indices per column, no explicitly stored zeros and only finite values; its
 products, transpose and densification are scipy's CSC kernels; the Krylov
 solvers multiply with a cached CSR copy (``to_csr``). Every
 constructor keeps a private read-only copy of its input arrays. Matrix Market
-files are one-based on disk.
+files are one-based on disk; scipy's ``mmwrite`` writes them, and a loader of
+our own reads them, stricter than ``mmread`` about malformed entries.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.io import mmwrite
 
 
 class MatrixMarketError(ValueError):
@@ -324,14 +326,12 @@ def load_matrix_market(path) -> SparseMatrix:
 
 
 def save_matrix_market(path, A: SparseMatrix, comment=None):
-    """Write ``A`` as Matrix Market ``coordinate real general`` (one-based)."""
-    path = Path(path)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        if comment:
-            for line in str(comment).splitlines():
-                fh.write(f"% {line}\n")
-        fh.write(f"{A.nrows} {A.ncols} {A.nnz}\n")
-        cols = np.repeat(np.arange(A.ncols), np.diff(A.col_ptr))
-        for i, j, v in zip(A.row_idx.tolist(), cols.tolist(), A.values.tolist()):
-            fh.write(f"{i + 1} {j + 1} {v!r}\n")
+    """Write ``A`` as Matrix Market ``coordinate real general`` (one-based),
+    column by column, each value in shortest round-trip notation, with each
+    line of ``comment`` as a ``% line`` comment. scipy's writer is given an
+    open file, since it appends ``.mtx`` to a path that lacks it."""
+    text = "\n".join(f" {line}" for line in str(comment).splitlines()) if comment else None
+    if text is not None and not text.isascii():  # the loader reads ASCII only
+        raise ValueError("Matrix Market comment must be ASCII")
+    with open(path, "wb") as fh:
+        mmwrite(fh, A.to_scipy(), comment=text, field="real", symmetry="general")

@@ -1,15 +1,15 @@
-"""Preconditioned BiCGStab and restarted GMRES(m).
+"""Preconditioned BiCGStab and restarted GMRES(m) on one solve scaffold.
 
-Both solvers start from x0 = 0, apply the preconditioner from the right
-(solve A M y = b, x = M y) or the left (solve M A x = M b), and only report
-convergence after recomputing the true residual ||b - A x||_2 / ||b||_2 of the
-original system. BiCGStab counts full steps with converged half-steps reported
-as +0.5 (one full step performs two products with A); GMRES counts the total
-number of inner Arnoldi steps across restarts. GMRES keeps its Krylov basis as
-the rows of one array and orthogonalizes by classical Gram-Schmidt, each pass
-two products with the basis, with a second pass only when the first cancels
-much of the vector. Products with A and M run on each matrix's cached CSR
-copy. ``SolveReport.reason`` says why a solve stopped.
+Both solvers start from x0 = 0 and apply the preconditioner from the right
+(solve A M y = b, x = M y) or the left (solve M A x = M b). Everything but
+the iteration itself lives in ``_Operators``, built once per solve: the
+right-hand-side check, the products with A and M and their counts, the two
+trivial exits, the one convergence test, which recomputes the true residual
+||b - A x||_2 / ||b||_2 of the original system, and the report with its stop
+``reason`` (the template's shared stopping test; Barrett et al., 1994).
+BiCGStab counts full steps, a converged half-step as +0.5; GMRES counts inner
+Arnoldi steps across restarts, on a row basis orthogonalized by classical
+Gram-Schmidt. Products run on each matrix's cached CSR copy.
 """
 
 from __future__ import annotations
@@ -55,32 +55,59 @@ class SolveReport:
     precond_applies: int = 0
     final_rel_residual: float = np.inf
     solve_time: float = 0.0
-    breakdown: bool = False
-    stagnated: bool = False
     residual_history: list = field(default_factory=list)
     # why the solve stopped, set at every exit: "converged", "max_iters",
     # "breakdown", "stagnated", or "non-finite" (a residual or Arnoldi norm
     # became NaN or inf)
     reason: str = ""
 
-    def stop(self, reason: str):
-        """Record why the solve stopped; a converged solve says so."""
-        self.reason = "converged" if self.converged else reason
-        self.breakdown = reason == "breakdown"
-        self.stagnated = reason == "stagnated"
+    @property
+    def breakdown(self) -> bool:
+        return self.reason == "breakdown"
+
+    @property
+    def stagnated(self) -> bool:
+        return self.reason == "stagnated"
 
 
 class _Operators:
-    """Wraps A and optional M into the preconditioned operator, with counts."""
+    """One solve of ``A x = b``: the checked b, A and M (a SparseMatrix, a
+    Preconditioner or None) with product counts, the preconditioned operator
+    ``op`` and its right-hand side ``rhs`` (M b on the left side), and the
+    report. ``trivial`` names an exit at x = 0 and is empty otherwise: b = 0
+    has converged, and a left M that maps b to 0 is a breakdown. ``accept``
+    is both solvers' convergence test; ``done`` completes the report.
+    """
 
-    def __init__(self, A: SparseMatrix, M, side: str):
+    def __init__(self, A: SparseMatrix, b, M, params: SolveParams):
+        self.start = time.perf_counter()
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (A.nrows,):
+            raise ValueError(f"right-hand side must have shape ({A.nrows},), got {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right-hand side has non-finite entries")
+        if M is not None and not isinstance(M, SparseMatrix):
+            M = M.M  # Preconditioner
         self.A = A.to_csr()
-        if M is None:
-            side = "none"
         self.M = M.to_csr() if M is not None else None
-        self.side = side
+        self.side = params.side if M is not None else "none"
+        self.rel_tol = params.rel_tol
         self.matvecs = 0
         self.precond_applies = 0
+        self.report = SolveReport()
+        self.b = b
+        self.bnorm = float(np.linalg.norm(b))
+        self.trivial = ""
+        if self.bnorm == 0.0:
+            self.report.converged = True
+            self.report.final_rel_residual = 0.0
+            self.trivial = "converged"
+            return
+        self.rhs = self.apply_m(b) if self.side == "left" else b
+        self.rhs_norm = float(np.linalg.norm(self.rhs))
+        if self.rhs_norm == 0.0:
+            self.report.final_rel_residual = 1.0
+            self.trivial = "breakdown"
 
     def apply_a(self, v):
         self.matvecs += 1
@@ -97,77 +124,42 @@ class _Operators:
             return self.apply_m(self.apply_a(v))
         return self.apply_a(v)
 
-    def rhs(self, b):
-        return self.apply_m(b) if self.side == "left" else b
+    def accept(self, y, iters: float):
+        """Map the preconditioned iterate ``y`` to x, record x's true
+        residual ||b - A x|| / ||b|| and ``iters``, and set ``converged``
+        when that residual is below the tolerance. Returns x."""
+        x = self.apply_m(y) if self.side == "right" else y
+        rel = float(np.linalg.norm(self.b - self.apply_a(x)) / self.bnorm)
+        self.report.final_rel_residual = rel
+        self.report.converged = rel < self.rel_tol
+        self.report.iters = iters
+        return x
 
-    def to_user(self, y):
-        """Map the iterate of the preconditioned system to the original x."""
-        return self.apply_m(y) if self.side == "right" else y
-
-    def true_rel_residual(self, x, b, bnorm):
-        return float(np.linalg.norm(b - self.apply_a(x)) / bnorm)
-
-
-def _unwrap_preconditioner(M):
-    if M is None:
-        return None
-    if isinstance(M, SparseMatrix):
-        return M
-    return M.M  # Preconditioner
-
-
-def _checked_rhs(A: SparseMatrix, b) -> np.ndarray:
-    """``b`` as a float array, after checking its shape and finiteness."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.nrows,):
-        raise ValueError(f"right-hand side must have shape ({A.nrows},), got {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("right-hand side has non-finite entries")
-    return b
+    def done(self, x, reason: str):
+        """``(x, report)`` with the stop reason (a converged solve says so),
+        the product counts and the wall time filled in."""
+        rep = self.report
+        rep.reason = "converged" if rep.converged else reason
+        rep.matvecs = self.matvecs
+        rep.precond_applies = self.precond_applies
+        rep.solve_time = time.perf_counter() - self.start
+        return x, rep
 
 
 def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
     """BiCGStab from the standard template, preconditioned per ``params.side``."""
-    start = time.perf_counter()
-    b = _checked_rhs(A, b)
-    ops = _Operators(A, _unwrap_preconditioner(M), params.side)
-    report = SolveReport()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        report.converged = True
-        report.stop("converged")
-        report.final_rel_residual = 0.0
-        report.solve_time = time.perf_counter() - start
-        return np.zeros(A.ncols), report
-
-    rhs = ops.rhs(b)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        # left preconditioner annihilated b: no usable information
-        report.stop("breakdown")
-        report.final_rel_residual = 1.0
-        report.solve_time = time.perf_counter() - start
-        return np.zeros(A.ncols), report
+    ops = _Operators(A, b, M, params)
+    if ops.trivial:
+        return ops.done(np.zeros(A.ncols), ops.trivial)
+    history = ops.report.residual_history
     y = np.zeros(A.ncols)
-    r = rhs.copy()
+    r = ops.rhs.copy()
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros_like(r)
     p = np.zeros_like(r)
 
-    def accept(y_curr, iters):
-        x = ops.to_user(y_curr)
-        rel = ops.true_rel_residual(x, b, bnorm)
-        report.final_rel_residual = rel
-        if rel < params.rel_tol:
-            report.converged = True
-            report.iters = iters
-            return x
-        return None
-
-    x_out = None
     stop = "max_iters"
-    it = 0
     for it in range(1, params.max_iters + 1):
         rho_new = float(r_hat @ r)
         if abs(rho_new) < _BREAKDOWN_FLOOR:
@@ -191,11 +183,11 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
         if not math.isfinite(s_norm):
             stop = "non-finite"
             break
-        report.residual_history.append(s_norm / rhs_norm)
-        if s_norm / rhs_norm < params.rel_tol:
-            x_out = accept(h, it - 0.5)
-            if x_out is not None:
-                break
+        history.append(s_norm / ops.rhs_norm)
+        if s_norm / ops.rhs_norm < params.rel_tol:
+            x = ops.accept(h, it - 0.5)
+            if ops.report.converged:
+                return ops.done(x, "converged")
         t = ops.op(s)
         tt = float(t @ t)
         if tt < _BREAKDOWN_FLOOR:
@@ -209,25 +201,16 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
         if not math.isfinite(r_norm):
             stop = "non-finite"
             break
-        report.residual_history.append(r_norm / rhs_norm)
-        if r_norm / rhs_norm < params.rel_tol:
-            x_out = accept(y, float(it))
-            if x_out is not None:
-                break
+        history.append(r_norm / ops.rhs_norm)
+        if r_norm / ops.rhs_norm < params.rel_tol:
+            x = ops.accept(y, float(it))
+            if ops.report.converged:
+                return ops.done(x, "converged")
         if abs(omega) < _BREAKDOWN_FLOOR:
             stop = "breakdown"
             break
 
-    if x_out is None:
-        x_out = ops.to_user(y)
-        report.final_rel_residual = ops.true_rel_residual(x_out, b, bnorm)
-        report.converged = report.final_rel_residual < params.rel_tol
-        report.iters = float(it)
-    report.stop(stop)
-    report.matvecs = ops.matvecs
-    report.precond_applies = ops.precond_applies
-    report.solve_time = time.perf_counter() - start
-    return x_out, report
+    return ops.done(ops.accept(y, float(it)), stop)
 
 
 def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(method="gmres")):
@@ -241,62 +224,28 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
     Rozloznik, 2005). The Hessenberg columns and Givens rotations are Python
     floats. ``params.max_iters`` caps the number of restart cycles;
     ``report.iters`` counts total inner steps. A cycle that makes no progress
-    sets the stagnation flag and stops; a NaN or infinite residual or Arnoldi
+    stops the solve as stagnated; a NaN or infinite residual or Arnoldi
     norm stops the solve at once, keeping the last finished cycle's iterate.
     """
-    start = time.perf_counter()
-    b = _checked_rhs(A, b)
-    ops = _Operators(A, _unwrap_preconditioner(M), params.side)
-    report = SolveReport()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        report.converged = True
-        report.stop("converged")
-        report.final_rel_residual = 0.0
-        report.solve_time = time.perf_counter() - start
-        return np.zeros(A.ncols), report
-
-    m = params.restart
-    n = A.ncols
+    ops = _Operators(A, b, M, params)
+    if ops.trivial:
+        return ops.done(np.zeros(A.ncols), ops.trivial)
+    m, n = params.restart, A.ncols
     x = np.zeros(n)  # iterate of the preconditioned system (y for right side)
-    rhs = ops.rhs(b)
-    rhs_norm = float(np.linalg.norm(rhs))
-    if rhs_norm == 0.0:
-        report.stop("breakdown")
-        report.final_rel_residual = 1.0
-        report.solve_time = time.perf_counter() - start
-        return np.zeros(A.ncols), report
     inner_total = 0
     prev_beta = None
     stop = "max_iters"
 
-    def finish(x_curr, converged_hint):
-        xu = ops.to_user(x_curr)
-        rel = ops.true_rel_residual(xu, b, bnorm)
-        report.final_rel_residual = rel
-        report.converged = converged_hint and rel < params.rel_tol
-        report.stop(stop)
-        report.iters = float(inner_total)
-        report.matvecs = ops.matvecs
-        report.precond_applies = ops.precond_applies
-        report.solve_time = time.perf_counter() - start
-        return xu
-
     for _cycle in range(params.max_iters):
-        if ops.side == "right":
-            r = rhs - ops.apply_a(ops.to_user(x))
-        elif ops.side == "left":
-            r = ops.apply_m(b - ops.apply_a(x))
-        else:
-            r = rhs - ops.apply_a(x)
+        r = ops.rhs - ops.op(x)
         beta = float(np.linalg.norm(r))
         if not math.isfinite(beta):
             stop = "non-finite"
             break
-        if beta / rhs_norm < params.rel_tol:
-            xu = finish(x, True)
-            if report.converged:
-                return xu, report
+        if beta / ops.rhs_norm < params.rel_tol:
+            xu = ops.accept(x, float(inner_total))
+            if ops.report.converged:
+                return ops.done(xu, "converged")
             if beta == 0.0:
                 # exactly solved in the preconditioned space but not in the
                 # original one: no direction left to improve
@@ -349,8 +298,8 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
             R.append(col)
             g.append(-sn[j] * g[j])
             g[j] = cs[j] * g[j]
-            inner_res = abs(g[j + 1]) / rhs_norm
-            report.residual_history.append(inner_res)
+            inner_res = abs(g[j + 1]) / ops.rhs_norm
+            ops.report.residual_history.append(inner_res)
             if happy or inner_res < params.rel_tol:
                 hit_tol = True
                 break
@@ -368,12 +317,14 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
             y_small[i] = acc / R[i][i]
         x = x + np.array(y_small) @ V[:jj]
         if hit_tol:
-            xu = finish(x, True)
-            if report.converged:
-                return xu, report
+            xu = ops.accept(x, float(inner_total))
+            if ops.report.converged:
+                return ops.done(xu, "converged")
             # true residual not small enough yet: keep restarting
 
-    return finish(x, False), report
+    xu = ops.accept(x, float(inner_total))
+    ops.report.converged = False  # only a restart or inner test converges
+    return ops.done(xu, stop)
 
 
 def solve(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):

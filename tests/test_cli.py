@@ -109,6 +109,17 @@ class TestSolveCommand:
         rows = read_rows(out / "solve.csv")
         assert all(r["converged"] == "1" for r in rows)
 
+    def test_mismatched_header_stops_before_loading(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        old = ("matrix,method,side,precond,converged,dagger,iters,matvecs,"
+               "precond_applies,rel_residual,stime\n")
+        (out / "solve.csv").write_text(old)
+        missing = tmp_path / "missing.mtx"  # the header check must come first
+        with pytest.raises(SystemExit, match=r"solve\.csv: header has columns .*stime, expected"):
+            main(["solve", "--matrix", str(missing), "--no-precond", "--out", str(out)])
+        assert (out / "solve.csv").read_text() == old
+
 
 class TestSweepCommand:
     def test_monotone_and_consistent(self, demo_matrix, tmp_path):

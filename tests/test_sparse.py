@@ -81,6 +81,13 @@ class TestMatrixMarket:
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n",
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n",
             "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",
+            # scipy's mmread reads the next four as 1.0, 2.5, 0 and 2.0
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1,5\n",
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.5abc\n",
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 0x10\n",
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0 7\n",
+            "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 1\n",
+            "%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n",
         ],
     )
     def test_rejects_bad_files(self, tmp_path, text):
@@ -94,6 +101,12 @@ class TestMatrixMarket:
             warnings.simplefilter("error")
             A = load_matrix_market(path)
         assert A.shape == (2, 2) and A.nnz == 0
+
+    def test_non_ascii_comment_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "M.mtx"
+        with pytest.raises(ValueError, match="comment must be ASCII"):
+            save_matrix_market(path, SparseMatrix.identity(2), comment="SAI of matrice_\u00e9")
+        assert not path.exists()
 
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)

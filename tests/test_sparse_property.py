@@ -119,6 +119,41 @@ def test_round_trip_is_bit_exact(nrows, ncols, entries):
     assert A.equals(B)
 
 
+# the smallest subnormal, the smallest normal, the largest finite values, and
+# values whose shortest round-trip form needs all 17 significant digits
+EDGE_VALUES = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.30000000000000004, -1.0000000000000002,
+               1.2345678901234567e-100]
+
+
+@PROPERTY
+@given(
+    n=st.integers(1, 5),
+    entries=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4),
+                  st.one_of(st.sampled_from(EDGE_VALUES),
+                            st.floats(allow_nan=False, allow_infinity=False))),
+        max_size=25,
+    ),
+    comment=st.lists(st.text(st.characters(min_codepoint=32, max_codepoint=126), min_size=1),
+                     min_size=2, max_size=4),
+)
+def test_round_trip_keeps_comment_and_edge_values(n, entries, comment):
+    entries = {(i % n, j % n): v for i, j, v in entries}
+    rows = np.array([i for i, _ in entries], dtype=np.int64)
+    cols = np.array([j for _, j in entries], dtype=np.int64)
+    A = SparseMatrix.from_coo(n, n, rows, cols, np.array(list(entries.values()), dtype=float))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rt.mtx"
+        save_matrix_market(path, A, comment="\n".join(comment))
+        lines = path.read_text(encoding="ascii").splitlines()
+        B = load_matrix_market(path)
+    assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+    assert lines[1 : 1 + len(comment)] == [f"% {line}" for line in comment]
+    assert lines[1 + len(comment)] == f"{n} {n} {A.nnz}"
+    assert A.equals(B)
+
+
 @PROPERTY
 @given(data=st.data(), n=st.integers(1, 6), symmetry=st.sampled_from(["symmetric", "skew-symmetric"]))
 def test_symmetric_storage_expands_like_dense_oracle(data, n, symmetry):

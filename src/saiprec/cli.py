@@ -318,6 +318,20 @@ STATIC_HEADER = [
 ]
 
 
+def _method_label(params: SolveParams) -> str:
+    return params.method if params.method == "bicgstab" else f"gmres:{params.restart}"
+
+
+def _one_method_per_family(command: str, solvers):
+    """Stop unless ``solvers`` hold at most one method of each family, since
+    the sweep and static tables have one iter_b and one iter_g column."""
+    for family in ("bicgstab", "gmres"):
+        given = [_method_label(params) for params in solvers if params.method == family]
+        if len(given) > 1:
+            raise SystemExit(f"{command} takes one {family} method, got {', '.join(given)}: "
+                             "its table has one iter_b and one iter_g column")
+
+
 def cmd_build(spec: ExperimentSpec) -> int:
     sai, label = spec.sai, _drop_label(spec.sai)
     for name, A in _matrices(spec):
@@ -356,7 +370,7 @@ def cmd_solve(spec: ExperimentSpec) -> int:
         for params in spec.solvers:
             _, rep = solve(A, b, M=M, params=params)
             dagger = not rep.converged
-            method = params.method if params.method == "bicgstab" else f"gmres:{params.restart}"
+            method = _method_label(params)
             rows.append([
                 name, method, params.side, label, rep.converged, dagger, rep.iters,
                 rep.matvecs, rep.precond_applies, rep.final_rel_residual, rep.solve_time,
@@ -372,6 +386,7 @@ def cmd_solve(spec: ExperimentSpec) -> int:
 
 
 def cmd_sweep(spec: ExperimentSpec) -> int:
+    _one_method_per_family("sweep", spec.solvers)
     base = dict(epsilon=spec.sai.epsilon, l_max=spec.sai.l_max, side=spec.sai.side)
     # scale 0 means no dropping; SaiParams rejects a negative scale
     cells = [("scale", s, SaiParams(**base, drop_mode="adaptive", drop_scale=s) if s != 0
@@ -405,6 +420,7 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
 
 
 def cmd_static(spec: ExperimentSpec) -> int:
+    _one_method_per_family("static", spec.solvers)
     # static builds are right-side: A M ~ I
     solvers = [dataclasses.replace(params, side="right") for params in spec.solvers]
     rows = []
@@ -470,8 +486,8 @@ def cmd_report(out_dir: Path) -> int:
         print(f"\n{'Matrix':<12}{'pattern':<12}{'var':<4}{'spar':>8}{'iter_b':>8}{'iter_g':>8}{'r_max':>10}")
         with open(static_csv) as fh:
             for row in csv.DictReader(fh):
-                ib = row["iter_b"] or "†"
-                ig = row["iter_g"] or "†"
+                # "-": the method did not run; an empty count: it did not converge
+                ib, ig = (row[f"iter_{m}"] or "†" if row[f"stime_{m}"] else "-" for m in "bg")
                 print(
                     f"{row['matrix']:<12}{row['pattern']:<12}{row['variant']:<4}"
                     f"{float(row['spar']):>8.2f}{ib:>8}{ig:>8}{float(row['r_max']):>10.4f}"

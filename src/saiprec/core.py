@@ -264,10 +264,13 @@ _ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
 
 
 def _open_text(path):
+    """The file as ASCII text. A non-ASCII byte becomes a lone surrogate: a
+    comment line holding one is skipped like any other, and anywhere else it
+    fails the header, size-line or entry parse."""
     path = Path(path)
     if path.suffix == ".gz":
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="ascii")
-    return open(path, "r", encoding="ascii")
+        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="ascii", errors="surrogateescape")
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
 def load_matrix_market(path) -> SparseMatrix:
@@ -331,7 +334,7 @@ def save_matrix_market(path, A: SparseMatrix, comment=None):
     line of ``comment`` as a ``% line`` comment. scipy's writer is given an
     open file, since it appends ``.mtx`` to a path that lacks it."""
     text = "\n".join(f" {line}" for line in str(comment).splitlines()) if comment else None
-    if text is not None and not text.isascii():  # the loader reads ASCII only
+    if text is not None and not text.isascii():  # Matrix Market files are ASCII
         raise ValueError("Matrix Market comment must be ASCII")
     with open(path, "wb") as fh:
         mmwrite(fh, A.to_scipy(), comment=text, field="real", symmetry="general")

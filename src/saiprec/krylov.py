@@ -72,11 +72,12 @@ class SolveReport:
 
 class _Operators:
     """One solve of ``A x = b``: the checked b, A and M (a SparseMatrix, a
-    Preconditioner or None) with product counts, the preconditioned operator
-    ``op`` and its right-hand side ``rhs`` (M b on the left side), and the
-    report. ``trivial`` names an exit at x = 0 and is empty otherwise: b = 0
-    has converged, and a left M that maps b to 0 is a breakdown. ``accept``
-    is both solvers' convergence test; ``done`` completes the report.
+    Preconditioner built for ``params.side``, or None) with product counts,
+    the preconditioned operator ``op`` and its right-hand side ``rhs`` (M b
+    on the left side), and the report. ``trivial`` names an exit at x = 0
+    and is empty otherwise: b = 0 has converged, and a left M that maps b to
+    0 is a breakdown. ``accept`` is both solvers' convergence test; ``done``
+    completes the report.
     """
 
     def __init__(self, A: SparseMatrix, b, M, params: SolveParams):
@@ -86,8 +87,11 @@ class _Operators:
             raise ValueError(f"right-hand side must have shape ({A.nrows},), got {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("right-hand side has non-finite entries")
-        if M is not None and not isinstance(M, SparseMatrix):
-            M = M.M  # Preconditioner
+        if M is not None and not isinstance(M, SparseMatrix):  # a Preconditioner
+            if M.side != params.side:
+                raise ValueError(f"a {M.side}-side preconditioner cannot be applied "
+                                 f"with side={params.side!r}")
+            M = M.M
         self.A = A.to_csr()
         self.M = M.to_csr() if M is not None else None
         self.side = params.side if M is not None else "none"

@@ -8,7 +8,9 @@ no index can be new again. The plain builder never drops; the dropping builder
 removes small entries after each solve (the block is sliced, not factored)
 by a fixed tolerance or the adaptive criterion eps / (nnz(m_k) * ||A||_1), which
 keeps the dropped mass small enough that a column meeting the accuracy target
-eps still satisfies ||A m_d - e_k||_2 <= 2 eps after dropping.
+eps still satisfies ||A m_d - e_k||_2 <= 2 eps after dropping. Everything
+around the columns (the checks on A, the fan-out, the assembly of M and the
+report) is written once, in ``_build_columns``, and the static builder uses it.
 """
 
 from __future__ import annotations
@@ -202,19 +204,24 @@ def _grow_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float |
             guard = True
         if small.any():
             state.shrink(state.support[small])
+    return _column_result(
+        state, k, loops_used=l, pre_drop_residual=r_solve, met_accuracy=r_solve <= eps,
+        guard_flag=guard, stalled=stalled,
+        tol_min=min(tols) if tols else None, tol_max=max(tols) if tols else None,
+    )
+
+
+def _column_result(state: ColumnLeastSquares, k: int, **fields):
+    """The hand-off of every built column: ``((indices, values), record)``
+    read from its least-squares ``state``, with the record fields the state
+    does not hold given as ``fields``."""
     solution = state.solution
     return (state.support, solution), ColumnBuildRecord(
         k=k,
-        loops_used=l,
-        pre_drop_residual=r_solve,
         post_drop_residual=state.residual_norm,
         nnz_final=int(np.count_nonzero(solution)),
-        met_accuracy=r_solve <= eps,
         rank_flag=state.rank_flag,
-        guard_flag=guard,
-        stalled=stalled,
-        tol_min=min(tols) if tols else None,
-        tol_max=max(tols) if tols else None,
+        **fields,
     )
 
 
@@ -233,7 +240,7 @@ def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: floa
     return _grow_column(A, k, params, a_one_norm)
 
 
-def _build_column(k: int, A: SparseMatrix, params: SaiParams, a_one_norm: float):
+def _build_column(k: int, A: SparseMatrix, a_one_norm: float, params: SaiParams):
     if params.drop_mode == "none" or (
         params.drop_mode == "adaptive" and params.drop_scale == 0.0
     ):
@@ -241,34 +248,38 @@ def _build_column(k: int, A: SparseMatrix, params: SaiParams, a_one_norm: float)
     return psai_tol_column(A, k, params, a_one_norm)
 
 
-def build_preconditioner(
-    A: SparseMatrix, params: SaiParams, threads: int = 1
-) -> Preconditioner:
+def _build_columns(A: SparseMatrix, column, args: tuple, params: SaiParams | None, threads: int):
+    """The build around its columns, shared by the adaptive and the static
+    builders: check A, take the operand (A, or its transpose for
+    ``params.side == "left"``) and its 1-norm, run ``column(k, operand,
+    a_one_norm, *args)`` for every k, assemble M in solver-ready orientation
+    and time the whole build."""
+    if A.nrows != A.ncols:
+        raise ValueError("square matrix required")
+    if 0 in A.shape:
+        raise ValueError(f"cannot build for an empty {A.nrows}x{A.ncols} matrix")
+    start = time.perf_counter()
+    left = params is not None and params.side == "left"
+    operand = A.transpose() if left else A
+    a_norm = operand.one_norm()
+    n = operand.ncols
+    results = map_columns(column, (operand, a_norm, *args), n, threads)
+    M = assemble_columns([col for col, _ in results], n)
+    return Preconditioner(
+        M=M.transpose() if left else M,
+        records=[rec for _, rec in results],
+        params=params,
+        a_one_norm=a_norm,
+        a_nnz=operand.nnz,
+        build_time=time.perf_counter() - start,
+    )
+
+
+def build_preconditioner(A: SparseMatrix, params: SaiParams, threads: int = 1) -> Preconditioner:
     """Build the sparse approximate inverse of A column by column.
 
     Columns are independent; with ``threads > 1`` they run in worker
     processes and are deposited into a slot array by index, so the result is
     bit-identical regardless of the worker count.
     """
-    if A.nrows != A.ncols:
-        raise ValueError("square matrix required")
-    if 0 in A.shape:
-        raise ValueError(f"cannot build for an empty {A.nrows}x{A.ncols} matrix")
-    start = time.perf_counter()
-    operand = A.transpose() if params.side == "left" else A
-    a_norm = operand.one_norm()
-    n = operand.ncols
-
-    results = map_columns(_build_column, (operand, params, a_norm), n, threads)
-    M = assemble_columns([col for col, _ in results], n)
-    records = [rec for _, rec in results]
-    if params.side == "left":
-        M = M.transpose()
-    return Preconditioner(
-        M=M,
-        records=records,
-        params=params,
-        a_one_norm=a_norm,
-        a_nnz=operand.nnz,
-        build_time=time.perf_counter() - start,
-    )
+    return _build_columns(A, _build_column, (params,), params, threads)

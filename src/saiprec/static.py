@@ -2,9 +2,9 @@
 
 The envelope patterns are the structures of (I+A)^k, (I+|A|+|A^T|)^k A^T and
 (A^T A)^k A^T. Each column solves its least-squares problem once on the fixed
-pattern; postfiltration afterwards drops entries below
-max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column, where eps_k is that
-column's achieved residual norm.
+pattern, through ``psai._build_columns``; postfiltration afterwards
+drops entries below max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column of a
+right-side M, where eps_k is that column's achieved residual norm.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from ._parallel import map_columns
-from .core import SparseMatrix, assemble_columns
+from .core import SparseMatrix
 from .diagnostics import _column_norms, _residual_matrix
 from .lsq import ColumnLeastSquares
-from .psai import ColumnBuildRecord, Preconditioner
+from .psai import Preconditioner, _build_columns, _column_result
 
 PATTERN_KINDS = ("iplusa", "abs", "normal")
 
@@ -69,19 +68,11 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
     return SparseMatrix.from_scipy(out)
 
 
-def _static_column(k, A, col_ptr, row_idx):
+def _static_column(k, A, a_one_norm, col_ptr, row_idx):
     state = ColumnLeastSquares(A, k, row_idx[col_ptr[k] : col_ptr[k + 1]])
-    solution = state.solution
-    rec = ColumnBuildRecord(
-        k=k,
-        loops_used=0,
-        pre_drop_residual=state.residual_norm,
-        post_drop_residual=state.residual_norm,
-        nnz_final=int(np.count_nonzero(solution)),
-        met_accuracy=None,
-        rank_flag=state.rank_flag,
+    return _column_result(
+        state, k, loops_used=0, pre_drop_residual=state.residual_norm, met_accuracy=None
     )
-    return (state.support, solution), rec
 
 
 def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Preconditioner:
@@ -90,28 +81,12 @@ def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Pr
     S^k is the row set of column k of ``pattern`` (its values are ignored);
     every pattern column must be non-empty.
     """
-    if 0 in A.shape:
-        raise ValueError(f"cannot build for an empty {A.nrows}x{A.ncols} matrix")
     if pattern.shape != A.shape:
         raise ValueError("pattern dimensions do not match the matrix")
     empty = np.flatnonzero(pattern.column_nnz() == 0)
     if empty.size:
         raise ValueError(f"pattern column {empty[0]} is empty; every column must be non-empty")
-    start = time.perf_counter()
-    a_norm = A.one_norm()
-    n = A.ncols
-
-    results = map_columns(
-        _static_column, (A, pattern.col_ptr, pattern.row_idx), n, threads
-    )
-    return Preconditioner(
-        M=assemble_columns([col for col, _ in results], n),
-        records=[rec for _, rec in results],
-        params=None,
-        a_one_norm=a_norm,
-        a_nnz=A.nnz,
-        build_time=time.perf_counter() - start,
-    )
+    return _build_columns(A, _static_column, (pattern.col_ptr, pattern.row_idx), None, threads)
 
 
 def _checked_floor(floor) -> float:
@@ -129,6 +104,8 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
     where eps_k is the column's build residual and nnz(m_k) its pre-drop count.
     Post-drop residuals are recomputed; the result is marked filtered.
     """
+    if P.side != "right":
+        raise ValueError("postfilter needs a right-side preconditioner (A M ~ I)")
     floor = _checked_floor(floor)
     start = time.perf_counter()
     M = P.M

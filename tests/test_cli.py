@@ -219,6 +219,30 @@ class TestStaticCommand:
             assert float(row["iter_b"]) <= 1.0
             assert row["spar"] == rows[0]["spar"]
 
+    def test_report_dashes_a_method_that_did_not_run(self, demo_matrix, tmp_path, capsys):
+        _, path = demo_matrix
+        out = tmp_path / "out"
+        main(["static", "--matrix", str(path), "--method", "gmres", "--out", str(out),
+              "--threads", "1"])
+        capsys.readouterr()
+        main(["report", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines if line.startswith("demo")]
+        assert [row[4] for row in rows] == ["-", "-"]  # iter_b
+        assert all(float(row[5]) > 0 for row in rows)  # iter_g
+        assert "†" not in "".join(lines)
+
+
+@pytest.mark.parametrize("command", ["sweep", "static"])
+@pytest.mark.parametrize("methods", [["gmres:2", "gmres:50"], ["bicgstab", "gmres", "bicgstab"]])
+def test_two_methods_of_one_family_stop_before_loading(tmp_path, command, methods):
+    argv = [command, "--matrix", str(tmp_path / "missing.mtx"), "--out", str(tmp_path)]
+    for method in methods:
+        argv += ["--method", method]
+    with pytest.raises(SystemExit, match=f"{command} takes one .* method, got"):
+        main(argv)
+    assert not (tmp_path / f"{command}.csv").exists()
+
 
 class TestDeterminism:
     def test_rerun_bit_identical(self, demo_matrix, tmp_path):

@@ -163,6 +163,14 @@ class TestPreconditionedSolves:
             assert rep.converged
             assert true_rel_residual(A, x, b) < 1e-8
 
+    @pytest.mark.parametrize("method, fn", [("bicgstab", bicgstab), ("gmres", gmres_restart)])
+    def test_preconditioner_side_must_match(self, method, fn):
+        A = random_well_conditioned(np.random.default_rng(37), 10, density=0.5)
+        P = build_preconditioner(A, SaiParams(epsilon=0.2, l_max=8, side="left"))
+        for side in ("right", "none"):
+            with pytest.raises(ValueError, match="left-side preconditioner"):
+                fn(A, A.matvec(np.ones(10)), M=P, params=SolveParams(method=method, side=side))
+
     def test_solve_report_counts(self):
         rng = np.random.default_rng(31)
         A = random_well_conditioned(rng, 10, density=0.5)

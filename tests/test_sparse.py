@@ -1,3 +1,4 @@
+import gzip
 import pickle
 import warnings
 
@@ -92,6 +93,31 @@ class TestMatrixMarket:
     )
     def test_rejects_bad_files(self, tmp_path, text):
         path = write_mm(tmp_path, text)
+        with pytest.raises(MatrixMarketError):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("name", ["m.mtx", "m.mtx.gz"])
+    def test_non_ascii_comment_lines_skipped(self, tmp_path, name):
+        text = "%%MatrixMarket matrix coordinate real general\n% caf\u00e9\n1 1 1\n% \u00e9\n1 1 5.0\n"
+        data = text.encode("utf-8")
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+        assert load_matrix_market(path).to_dense()[0, 0] == 5.0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "%%MatrixMarket matrix coordinate real g\u00e9neral\n1 1 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general \u00e9\n1 1 1\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\u00e9\n1 1 1.0\n",
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\u00e9\n",
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0 \u00e9\n",
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n1\u00a01 1.0\n",
+        ],
+    )
+    def test_non_ascii_outside_comments_rejected(self, tmp_path, text):
+        path = tmp_path / "m.mtx"
+        path.write_bytes(text.encode("utf-8"))
         with pytest.raises(MatrixMarketError):
             load_matrix_market(path)
 

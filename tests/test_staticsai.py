@@ -82,6 +82,16 @@ class TestStaticBuild:
             static_build(A, pattern)
         assert solved == []
 
+    def test_non_square_rejected_before_solving(self, monkeypatch):
+        import saiprec.static
+
+        A = SparseMatrix.from_dense(np.ones((3, 4)))
+        solved = []
+        monkeypatch.setattr(saiprec.static, "_static_column", lambda k, *args: solved.append(k))
+        with pytest.raises(ValueError, match="square matrix required"):
+            static_build(A, A)
+        assert solved == []
+
     def test_identity_diagonal_pattern(self):
         A = SparseMatrix.identity(5)
         P = static_build(A, make_pattern(A, "iplusa", 1))
@@ -160,6 +170,14 @@ class TestPostfilter:
             if F.M.nnz < P.M.nnz:
                 hits += 1
         assert hits >= 5
+
+    def test_left_side_preconditioner_rejected(self):
+        from saiprec.psai import SaiParams, build_preconditioner
+
+        A = random_well_conditioned(np.random.default_rng(5), 12, density=0.4)
+        P = build_preconditioner(A, SaiParams(epsilon=0.3, l_max=5, side="left"))
+        with pytest.raises(ValueError, match="right-side"):
+            postfilter(A, P)
 
     def test_floor_is_configurable(self):
         rng = np.random.default_rng(29)

@@ -19,7 +19,9 @@ their "abs" and "normal" patterns (random power 1-3, random postfilter floor)
 and the postfiltered M_d of each, except where a zero row of A leaves a
 pattern column empty; the static (I+A)^3 build of the benchmark's
 convection-diffusion operator and its postfiltered M_d; and the adaptive build
-of the benchmark's reservoir operator for seeds 0, 1 and 2. The large
+of the benchmark's reservoir operator for seeds 0, 1 and 2. The
+convection-diffusion build and the seed-0 reservoir build run a second time
+with ``threads=2``, so the worker-pool path is compared too. The large
 operators come from ``perfbench/generators.py``. BLAS runs on one thread
 unless the environment says otherwise, so both sides round alike.
 """
@@ -58,10 +60,10 @@ def _small_matrix(rng, case: int):
     return dense
 
 
-def _static(A, kind, power, floor):
+def _static(A, kind, power, floor, threads=1):
     from saiprec import static
 
-    P = static.static_build(A, static.make_pattern(A, kind, power), threads=1)
+    P = static.static_build(A, static.make_pattern(A, kind, power), threads=threads)
     return [("M", P), ("Md", static.postfilter(A, P, floor=floor))]
 
 
@@ -92,12 +94,19 @@ def _configs():
             yield (f"small{case:02d}-{mode}-{params.side}",
                    lambda A=A, params=params: [("M", build_preconditioner(A, params))])
 
-    yield "static-cd3d", lambda: _static(generators.convection_diffusion_3d(), "iplusa", 3, 0.1)
-    for seed in (0, 1, 2):
+    def cd3d(threads):
+        return _static(generators.convection_diffusion_3d(), "iplusa", 3, 0.1, threads)
+
+    def reservoir(seed, threads):
         params = SaiParams(epsilon=0.2, l_max=8, drop_mode="adaptive")
-        yield (f"adaptive-reservoir-{seed}",
-               lambda seed=seed, params=params: [
-                   ("M", build_preconditioner(generators.reservoir_3d(seed, 5.0, 1.02), params))])
+        A = generators.reservoir_3d(seed, 5.0, 1.02)
+        return [("M", build_preconditioner(A, params, threads=threads))]
+
+    yield "static-cd3d", lambda: cd3d(1)
+    for seed in (0, 1, 2):
+        yield f"adaptive-reservoir-{seed}", lambda seed=seed: reservoir(seed, 1)
+    yield "static-cd3d-threads2", lambda: cd3d(2)
+    yield "adaptive-reservoir-0-threads2", lambda: reservoir(0, 2)
 
 
 def _record_array(records) -> np.ndarray:

@@ -3,9 +3,12 @@ drop-tolerance sweeps and the static-pattern studies, and print summary tables.
 
 Every option is declared once, in :data:`OPTIONS`. An experiment takes the
 table defaults, then a ``key = value`` spec file with bracketed sections, then
-the flags; what the table does not accept stops the run before any matrix is
-loaded. The right-hand side of every solve is b = A * ones. CSV floats carry
-17 significant digits; booleans are written as 1/0.
+the flags; what the table does not accept, and a matrix or ``--precond`` path
+that does not exist, stops the run before any matrix is loaded. The solve,
+sweep and static commands share one solve step, :func:`_solve_all`, whose
+right-hand side is b = A * ones; ``report`` prints every result table through
+one loop over :data:`_TABLES`. CSV floats carry 17 significant digits;
+booleans are written as 1/0.
 """
 
 from __future__ import annotations
@@ -188,9 +191,10 @@ OPTIONS = (
            commands=("solve",), kind="switch"),
     Option("precond", "--precond", None, Path, "use a previously written M (.mtx)",
            commands=("solve",)),
-    Option("scalings", "--scalings", "[sweep] scalings", float,
+    Option("scalings", "--scalings", "[sweep] scalings", _checked(SaiParams, "drop_scale", float),
            "comma list of adaptive-criterion scalings", "1, 0.5, 0.1, 0.01, 0", ("sweep",), "list"),
-    Option("fixed_tols", "--fixed-tols", "[sweep] fixed_tols", float,
+    Option("fixed_tols", "--fixed-tols", "[sweep] fixed_tols",
+           lambda text: _parse_drop(f"fixed:{text}")["tol"],
            "comma list of fixed tolerances", "", ("sweep",), "list"),
     Option("patterns", "--pattern", "[static] patterns", _parse_pattern,
            "iplusa:<k> | abs:<k> | normal:<k> (repeatable)", "iplusa:3", ("static",), "append"),
@@ -278,24 +282,19 @@ def spec_from_args(args) -> ExperimentSpec:
 
 
 def _matrices(spec: ExperimentSpec):
-    """Yield ``(name, A)`` per matrix; every path is checked before the first load."""
+    """``(name, A)`` per matrix, loaded as it is iterated; every path, a
+    ``--precond`` path too, is checked first, before anything is loaded."""
     if not spec.matrices:
         raise SystemExit("no matrices given: use --matrix or a spec file")
-    for path in spec.matrices:
+    for path in [*spec.matrices, *filter(None, [spec.precond_path])]:
         if not path.exists():
             raise SystemExit(f"matrix file not found: {path}")
-    for path in spec.matrices:
-        yield path.stem.replace(".mtx", ""), load_matrix_market(path)
+    return ((path.stem.replace(".mtx", ""), load_matrix_market(path)) for path in spec.matrices)
 
 
 def _drop_label(params: SaiParams) -> str:
-    if params.drop_mode == "fixed":
-        return f"fixed:{params.tol:g}"
-    if params.drop_mode == "none" or params.drop_scale == 0.0:
-        return "none"
-    if params.drop_scale != 1.0:
-        return f"adaptive*{params.drop_scale:g}"
-    return "adaptive"
+    """The ``--drop`` text of ``params`` (build and solve leave drop_scale at 1)."""
+    return f"fixed:{params.tol:g}" if params.drop_mode == "fixed" else params.drop_mode
 
 
 BUILD_HEADER = [
@@ -332,6 +331,19 @@ def _one_method_per_family(command: str, solvers):
                              "its table has one iter_b and one iter_g column")
 
 
+def _solve_all(A, M, solvers):
+    """The solve step of every run: ``(params, report)`` per solver for
+    A x = b with b = A * ones."""
+    b = A.matvec(np.ones(A.ncols))
+    return [(params, solve(A, b, M=M, params=params)[1]) for params in solvers]
+
+
+def _by_family(A, M, solvers):
+    """The (bicgstab, gmres) reports of :func:`_solve_all`; None: it did not run."""
+    reports = {params.method: rep for params, rep in _solve_all(A, M, solvers)}
+    return reports.get("bicgstab"), reports.get("gmres")
+
+
 def cmd_build(spec: ExperimentSpec) -> int:
     sai, label = spec.sai, _drop_label(spec.sai)
     for name, A in _matrices(spec):
@@ -357,18 +369,15 @@ def cmd_build(spec: ExperimentSpec) -> int:
 
 def cmd_solve(spec: ExperimentSpec) -> int:
     _check_header(spec.out / "solve.csv", SOLVE_HEADER)
+    matrices = _matrices(spec)
+    saved = None if spec.no_precond else spec.precond_path
+    M = load_matrix_market(saved) if saved else None  # loaded once, for every matrix
+    label = "none" if spec.no_precond else str(saved or _drop_label(spec.sai))
     rows = []
-    for name, A in _matrices(spec):
-        if spec.no_precond:
-            M, label = None, "none"
-        elif spec.precond_path is not None:
-            M, label = load_matrix_market(spec.precond_path), str(spec.precond_path)
-        else:
+    for name, A in matrices:
+        if not (spec.no_precond or saved):
             M = build_preconditioner(A, spec.sai, threads=spec.threads)
-            label = _drop_label(spec.sai)
-        b = A.matvec(np.ones(A.ncols))
-        for params in spec.solvers:
-            _, rep = solve(A, b, M=M, params=params)
+        for params, rep in _solve_all(A, M, spec.solvers):
             dagger = not rep.converged
             method = _method_label(params)
             rows.append([
@@ -388,32 +397,26 @@ def cmd_solve(spec: ExperimentSpec) -> int:
 def cmd_sweep(spec: ExperimentSpec) -> int:
     _one_method_per_family("sweep", spec.solvers)
     base = dict(epsilon=spec.sai.epsilon, l_max=spec.sai.l_max, side=spec.sai.side)
-    # scale 0 means no dropping; SaiParams rejects a negative scale
-    cells = [("scale", s, SaiParams(**base, drop_mode="adaptive", drop_scale=s) if s != 0
-              else SaiParams(**base, drop_mode="none")) for s in spec.scalings]
+    cells = [("scale", s, SaiParams(**base, drop_scale=s)) for s in spec.scalings]
     cells += [("fixed", t, SaiParams(**base, drop_mode="fixed", tol=t)) for t in spec.fixed_tols]
     if not cells:
         raise SystemExit("empty sweep: give --scalings or --fixed-tols")
     rows = []
     for name, A in _matrices(spec):
-        b = A.matvec(np.ones(A.ncols))
         for mode, value, sai in cells:
             P = build_preconditioner(A, sai, threads=spec.threads)
-            iters, daggers = {}, {}
-            for params in spec.solvers:
-                _, rep = solve(A, b, M=P, params=params)
-                key = "b" if params.method == "bicgstab" else "g"
-                iters[key], daggers[key] = rep.iters, not rep.converged
+            reports = _by_family(A, P, spec.solvers)
+            iters = [rep and rep.iters for rep in reports]
+            daggers = [rep is not None and not rep.converged for rep in reports]
             nonsingular = check_nonsingular(P.M)[0]
             rows.append([
-                name, mode, value, P.spar, P.build_time,
-                iters.get("b"), iters.get("g"), daggers.get("b", False),
-                daggers.get("g", False), P.r_max, P.r_max_post, *P.tol_range(), nonsingular,
+                name, mode, value, P.spar, P.build_time, *iters, *daggers,
+                P.r_max, P.r_max_post, *P.tol_range(), nonsingular,
             ])
             print(
                 f"{name} {mode}={value:g}: spar={P.spar:.2f} r_max={P.r_max:.6g} "
-                f"r_max_post={P.r_max_post:.6g} iters_b={iters.get('b')} "
-                f"iters_g={iters.get('g')} nonsingular={nonsingular}"
+                f"r_max_post={P.r_max_post:.6g} iters_b={iters[0]} "
+                f"iters_g={iters[1]} nonsingular={nonsingular}"
             )
     _write_csv(spec.out / "sweep.csv", SWEEP_HEADER, rows)
     return 0
@@ -425,7 +428,6 @@ def cmd_static(spec: ExperimentSpec) -> int:
     solvers = [dataclasses.replace(params, side="right") for params in spec.solvers]
     rows = []
     for name, A in _matrices(spec):
-        b = A.matvec(np.ones(A.ncols))
         for kind, power in spec.patterns:
             t0 = time.perf_counter()
             pattern = make_pattern(A, kind, power)
@@ -433,67 +435,65 @@ def cmd_static(spec: ExperimentSpec) -> int:
             P = static_build(A, pattern, threads=spec.threads)
             F = postfilter(A, P, **spec.filter_args)
             for variant, prec, t_filter in (("M", P, 0.0), ("Md", F, F.build_time)):
-                iters, times = {}, {}
-                for params in solvers:
-                    _, rep = solve(A, b, M=prec, params=params)
-                    key = "b" if params.method == "bicgstab" else "g"
-                    iters[key] = rep.iters if rep.converged else None
-                    times[key] = rep.solve_time
+                reports = _by_family(A, prec, solvers)
+                iters = [rep.iters if rep and rep.converged else None for rep in reports]
                 r_max = prec.r_max_post if variant == "Md" else prec.r_max
                 rows.append([
                     name, f"{kind}:{power}", variant, t_pattern, P.build_time,
-                    t_filter, t_pattern + P.build_time + t_filter,
-                    prec.spar, iters.get("b"), iters.get("g"),
-                    times.get("b"), times.get("g"), r_max,
+                    t_filter, t_pattern + P.build_time + t_filter, prec.spar, *iters,
+                    *(rep and rep.solve_time for rep in reports), r_max,
                 ])
                 print(
                     f"{name} {kind}:{power} {variant}: spar={prec.spar:.2f} "
-                    f"iters_b={iters.get('b')} iters_g={iters.get('g')} r_max={r_max:.4g}"
+                    f"iters_b={iters[0]} iters_g={iters[1]} r_max={r_max:.4g}"
                 )
     _write_csv(spec.out / "static.csv", STATIC_HEADER, rows)
     return 0
 
 
-def cmd_report(out_dir: Path) -> int:
-    out_dir = Path(out_dir)
-    builds = sorted(out_dir.glob("*_build.csv"))
-    solves = out_dir / "solve.csv"
+def _cells(row: dict) -> dict:
+    """A result row for the row formats: floats parsed, the solve ``flag``, and
+    the sweep and static ``count_b``/``count_g``: "-" when the method did not
+    run, "†" on a miss (a static row leaves a missed count empty)."""
+    cells = {k: float(v) if k in ("spar", "ptime", "r_max", "iters", "value") else v
+             for k, v in row.items()}
+    cells["flag"] = "†" * (row.get("dagger") == "1")
+    for m in "bg":
+        count = row.get(f"iter_{m}")
+        ran = row.get(f"stime_{m}", count)  # a static row times every method that ran
+        missed = row.get(f"dagger_{m}") == "1" or not count
+        cells[f"count_{m}"] = count + "†" * missed if ran else "-"
+    return cells
+
+
+# (CSV glob, header, row format over _cells) per table, in the order report prints them
+_TABLES = (
+    ("*_build.csv", f"{'Matrix':<12}{'spar':>8}{'ptime':>9}{'r_max':>10}{'coln':>6}  nonsing",
+     "{matrix:<12}{spar:>8.2f}{ptime:>9.2f}{r_max:>10.4f}{coln:>6}  {nonsingular}"),
+    ("solve.csv", f"{'Matrix':<12}{'method':<10}{'precond':<14}{'iters':>8}{'matvecs':>9}  flag",
+     "{matrix:<12}{method:<10}{precond:<14}{iters:>8g}{matvecs:>9}  {flag}"),
+    ("sweep.csv",
+     f"{'Matrix':<12}{'mode':<7}{'value':>9}{'spar':>8}{'iter_b':>8}{'iter_g':>8}{'r_max':>10}",
+     "{matrix:<12}{mode:<7}{value:>9g}{spar:>8.2f}{count_b:>8}{count_g:>8}{r_max:>10.4f}"),
+    ("static.csv",
+     f"{'Matrix':<12}{'pattern':<12}{'var':<4}{'spar':>8}{'iter_b':>8}{'iter_g':>8}{'r_max':>10}",
+     "{matrix:<12}{pattern:<12}{variant:<4}{spar:>8.2f}{count_b:>8}{count_g:>8}{r_max:>10.4f}"),
+)
+
+
+def cmd_report(spec: ExperimentSpec) -> int:
     printed = False
-    if builds:
-        printed = True
-        print(f"{'Matrix':<12}{'spar':>8}{'ptime':>9}{'r_max':>10}{'coln':>6}  nonsing")
-        for path in builds:
+    for pattern, header, line in _TABLES:
+        paths = sorted(spec.out.glob(pattern))
+        if paths:
+            print("\n" * printed + header)
+            printed = True
+        for path in paths:
             with open(path) as fh:
                 for row in csv.DictReader(fh):
-                    print(
-                        f"{row['matrix']:<12}{float(row['spar']):>8.2f}"
-                        f"{float(row['ptime']):>9.2f}{float(row['r_max']):>10.4f}"
-                        f"{int(row['coln']):>6}  {row['nonsingular']}"
-                    )
-    if solves.exists():
-        printed = True
-        print(f"\n{'Matrix':<12}{'method':<10}{'precond':<14}{'iters':>8}{'matvecs':>9}  flag")
-        with open(solves) as fh:
-            for row in csv.DictReader(fh):
-                mark = "†" if row["dagger"] == "1" else ""
-                print(
-                    f"{row['matrix']:<12}{row['method']:<10}{row['precond']:<14}"
-                    f"{float(row['iters']):>8g}{int(row['matvecs']):>9}  {mark}"
-                )
-    static_csv = out_dir / "static.csv"
-    if static_csv.exists():
-        printed = True
-        print(f"\n{'Matrix':<12}{'pattern':<12}{'var':<4}{'spar':>8}{'iter_b':>8}{'iter_g':>8}{'r_max':>10}")
-        with open(static_csv) as fh:
-            for row in csv.DictReader(fh):
-                # "-": the method did not run; an empty count: it did not converge
-                ib, ig = (row[f"iter_{m}"] or "†" if row[f"stime_{m}"] else "-" for m in "bg")
-                print(
-                    f"{row['matrix']:<12}{row['pattern']:<12}{row['variant']:<4}"
-                    f"{float(row['spar']):>8.2f}{ib:>8}{ig:>8}{float(row['r_max']):>10.4f}"
-                )
+                    print(line.format(**_cells(row)))
     if not printed:
-        print(f"no result CSVs under {out_dir}")
+        print(f"no result CSVs under {spec.out}")
     return 0
 
 
@@ -526,7 +526,7 @@ _COMMANDS = {
     "solve": (cmd_solve, "solve with BiCGStab/GMRES, write solve.csv"),
     "sweep": (cmd_sweep, "sweep drop-tolerance scalings or fixed tols"),
     "static": (cmd_static, "static-pattern build, postfilter, solve"),
-    "report": (None, "print summary tables from an output dir"),
+    "report": (cmd_report, "print summary tables from an output dir"),
 }
 
 
@@ -550,10 +550,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "fetch":
         return cmd_fetch(args)
-    spec = spec_from_args(args)
-    if args.command == "report":
-        return cmd_report(spec.out)
-    return _COMMANDS[args.command][0](spec)
+    return _COMMANDS[args.command][0](spec_from_args(args))
 
 
 if __name__ == "__main__":

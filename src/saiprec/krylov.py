@@ -3,13 +3,14 @@
 Both solvers start from x0 = 0 and apply the preconditioner from the right
 (solve A M y = b, x = M y) or the left (solve M A x = M b). Everything but
 the iteration itself lives in ``_Operators``, built once per solve: the
-right-hand-side check, the products with A and M and their counts, the two
-trivial exits, the one convergence test, which recomputes the true residual
-||b - A x||_2 / ||b||_2 of the original system, and the report with its stop
-``reason`` (the template's shared stopping test; Barrett et al., 1994).
-BiCGStab counts full steps, a converged half-step as +0.5; GMRES counts inner
-Arnoldi steps across restarts, on a row basis orthogonalized by classical
-Gram-Schmidt. Products run on each matrix's cached CSR copy.
+checks of the shapes and of the right-hand side, the products with A and M
+and their counts, the two trivial exits, the one convergence test, which
+recomputes the true residual ||b - A x||_2 / ||b||_2 of the original system,
+and the report with its stop ``reason`` (the template's shared stopping
+test; Barrett et al., 1994). BiCGStab counts full steps, a converged
+half-step as +0.5; GMRES counts inner Arnoldi steps across restarts, on a
+row basis orthogonalized by classical Gram-Schmidt. Products run on each
+matrix's cached CSR copy.
 """
 
 from __future__ import annotations
@@ -71,17 +72,19 @@ class SolveReport:
 
 
 class _Operators:
-    """One solve of ``A x = b``: the checked b, A and M (a SparseMatrix, a
-    Preconditioner built for ``params.side``, or None) with product counts,
-    the preconditioned operator ``op`` and its right-hand side ``rhs`` (M b
-    on the left side), and the report. ``trivial`` names an exit at x = 0
-    and is empty otherwise: b = 0 has converged, and a left M that maps b to
-    0 is a breakdown. ``accept`` is both solvers' convergence test; ``done``
-    completes the report.
+    """One solve of ``A x = b``: the checked A (square), b and M (a
+    SparseMatrix of A's shape, a Preconditioner built for ``params.side``, or
+    None) with product counts, the preconditioned operator ``op`` and its
+    right-hand side ``rhs`` (M b on the left side), and the report.
+    ``trivial`` names an exit at x = 0 and is empty otherwise: b = 0 has
+    converged, and a left M that maps b to 0 is a breakdown. ``accept`` is
+    both solvers' convergence test; ``done`` completes the report.
     """
 
     def __init__(self, A: SparseMatrix, b, M, params: SolveParams):
         self.start = time.perf_counter()
+        if A.nrows != A.ncols:
+            raise ValueError(f"A must be square, got shape {A.shape}")
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (A.nrows,):
             raise ValueError(f"right-hand side must have shape ({A.nrows},), got {b.shape}")
@@ -92,6 +95,8 @@ class _Operators:
                 raise ValueError(f"a {M.side}-side preconditioner cannot be applied "
                                  f"with side={params.side!r}")
             M = M.M
+        if M is not None and M.shape != A.shape:
+            raise ValueError(f"preconditioner has shape {M.shape}, A has shape {A.shape}")
         self.A = A.to_csr()
         self.M = M.to_csr() if M is not None else None
         self.side = params.side if M is not None else "none"

@@ -109,6 +109,34 @@ class TestSolveCommand:
         rows = read_rows(out / "solve.csv")
         assert all(r["converged"] == "1" for r in rows)
 
+    def test_missing_precond_stops_before_loading(self, demo_matrix, tmp_path, monkeypatch):
+        _, path = demo_matrix
+        loaded = []
+        monkeypatch.setattr("saiprec.cli.load_matrix_market", loaded.append)
+        missing = tmp_path / "missing_M.mtx"
+        with pytest.raises(SystemExit, match=f"matrix file not found: {re.escape(str(missing))}"):
+            main(["solve", "--matrix", str(path), "--precond", str(missing),
+                  "--out", str(tmp_path / "out")])
+        assert loaded == []
+        assert not (tmp_path / "out").exists()
+
+    def test_precond_loaded_once(self, demo_matrix, tmp_path, monkeypatch):
+        _, path = demo_matrix
+        out = tmp_path / "out"
+        main(["build", "--matrix", str(path), "--out", str(out), "--threads", "1"])
+        loaded = []
+
+        def counting(p):
+            loaded.append(Path(p).name)
+            return load_matrix_market(p)
+
+        monkeypatch.setattr("saiprec.cli.load_matrix_market", counting)
+        rc = main(["solve", "--matrix", str(path), "--matrix", str(path),
+                   "--precond", str(out / "demo_M.mtx"), "--out", str(out)])
+        assert rc == 0
+        assert sorted(loaded) == ["demo.mtx", "demo.mtx", "demo_M.mtx"]
+        assert len(read_rows(out / "solve.csv")) == 4
+
     def test_mismatched_header_stops_before_loading(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -167,20 +195,55 @@ class TestSweepCommand:
         assert [r["mode"] for r in rows] == ["fixed", "fixed"]
 
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("scalings", "-0.5", "drop_scale must be nonnegative"),
+        ("scalings", "nan", "drop_scale must be nonnegative"),
+        ("fixed_tols", "0", "fixed drop mode needs tol > 0"),
+        ("fixed_tols", "-1e-3", "fixed drop mode needs tol > 0"),
+        ("fixed_tols", "nan", "fixed drop mode needs tol > 0"),
+    ])
     @pytest.mark.parametrize("via_spec", [False, True])
-    def test_negative_scaling_rejected(self, demo_matrix, tmp_path, via_spec):
+    def test_negative_scaling_rejected(self, demo_matrix, tmp_path, capsys, via_spec,
+                                       key, value, message):
+        """A bad sweep list entry is a usage error or a spec-file message, and
+        stops the run before the matrix is loaded."""
         _, path = demo_matrix
         out = tmp_path / "out"
         argv = ["sweep", "--matrix", str(path), "--out", str(out), "--threads", "1"]
         if via_spec:
             spec_path = tmp_path / "exp.spec"
-            spec_path.write_text("[sweep]\nscalings = -0.5\n")
-            argv += ["--spec", str(spec_path)]
+            spec_path.write_text(f"[sweep]\n{key} = 1e-2, {value}\n")
+            expected = re.escape(f"{spec_path}: [sweep] {key}: ") + message
+            with pytest.raises(SystemExit, match=expected):
+                main(argv + ["--spec", str(spec_path)])
         else:
-            argv.append("--scalings=-0.5")
-        with pytest.raises(ValueError, match="drop_scale must be nonnegative"):
-            main(argv)
-        assert not (out / "sweep.csv").exists()
+            flag = "--" + key.replace("_", "-")
+            with pytest.raises(SystemExit) as info:
+                main(argv + [f"{flag}=1e-2,{value}"])
+            assert info.value.code == 2
+            assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_prints_sweep_table(self, demo_matrix, tmp_path, capsys):
+        _, path = demo_matrix
+        out = tmp_path / "out"
+        main(["sweep", "--matrix", str(path), "--method", "bicgstab", "--scalings", "1,0",
+              "--out", str(out), "--threads", "1"])
+        main(["sweep", "--matrix", str(path), "--method", "bicgstab", "--scalings", "",
+              "--fixed-tols", "1e-3", "--max-iters", "1", "--out", str(out / "short"),
+              "--threads", "1"])
+        capsys.readouterr()
+        main(["report", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["Matrix", "mode", "value", "spar", "iter_b", "iter_g", "r_max"]
+        rows = [line.split() for line in lines[1:]]
+        assert [row[:3] for row in rows] == [["demo", "scale", "1"], ["demo", "scale", "0"]]
+        assert all(float(row[4]) > 0 and row[5] == "-" for row in rows)
+        assert "†" not in "".join(lines)
+        main(["report", "--out", str(out / "short")])
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert row[:3] == ["demo", "fixed", "0.001"]
+        assert row[4:6] == ["1†", "-"]  # one step, not converged; GMRES did not run
 
 
 class TestStaticCommand:
@@ -336,6 +399,20 @@ class TestFetchAndReport:
         assert rc == 0
         text = capsys.readouterr().out
         assert "Matrix" in text and "demo" in text and "spar" in text
+
+
+def test_report_reads_every_table(demo_matrix, tmp_path, capsys):
+    """build, solve, sweep and static into one out dir; report prints their
+    four tables in that order."""
+    _, path = demo_matrix
+    common = ["--matrix", str(path), "--out", str(tmp_path / "out"), "--threads", "1"]
+    for argv in (["build"], ["solve"], ["sweep", "--scalings", "1"], ["static"]):
+        assert main(argv + common) == 0
+    capsys.readouterr()
+    assert main(["report", "--out", str(tmp_path / "out")]) == 0
+    headers = [line.split() for line in capsys.readouterr().out.splitlines()
+               if line.startswith("Matrix")]
+    assert [header[1] for header in headers] == ["spar", "method", "mode", "pattern"]
 
 
 class TestLeftSideCli:

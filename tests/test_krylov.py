@@ -171,6 +171,23 @@ class TestPreconditionedSolves:
             with pytest.raises(ValueError, match="left-side preconditioner"):
                 fn(A, A.matvec(np.ones(10)), M=P, params=SolveParams(method=method, side=side))
 
+    @pytest.mark.parametrize("method, fn", [("bicgstab", bicgstab), ("gmres", gmres_restart)])
+    def test_nonsquare_matrix_rejected(self, method, fn):
+        A = SparseMatrix.from_dense(np.arange(1.0, 13.0).reshape(3, 4))
+        with pytest.raises(ValueError, match=r"A must be square, got shape \(3, 4\)"):
+            fn(A, np.ones(3), params=SolveParams(method=method, side="none"))
+
+    @pytest.mark.parametrize("method, fn", [("bicgstab", bicgstab), ("gmres", gmres_restart)])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_preconditioner_shape_must_match(self, method, fn, side):
+        A = random_well_conditioned(np.random.default_rng(41), 10, density=0.5)
+        for M in (SparseMatrix.identity(12),
+                  SparseMatrix.from_dense(np.ones((10, 12))),
+                  build_preconditioner(SparseMatrix.identity(12), SaiParams(side=side))):
+            with pytest.raises(ValueError, match=r"preconditioner has shape \(\d+, 12\), "
+                                                 r"A has shape \(10, 10\)"):
+                fn(A, A.matvec(np.ones(10)), M=M, params=SolveParams(method=method, side=side))
+
     def test_solve_report_counts(self):
         rng = np.random.default_rng(31)
         A = random_well_conditioned(rng, 10, density=0.5)

@@ -283,13 +283,20 @@ def spec_from_args(args) -> ExperimentSpec:
 
 def _matrices(spec: ExperimentSpec):
     """``(name, A)`` per matrix, loaded as it is iterated; every path, a
-    ``--precond`` path too, is checked first, before anything is loaded."""
+    ``--precond`` path too, is checked first, before anything is loaded.
+    Outputs are named by ``name``, so two files may not share one."""
     if not spec.matrices:
         raise SystemExit("no matrices given: use --matrix or a spec file")
     for path in [*spec.matrices, *filter(None, [spec.precond_path])]:
         if not path.exists():
             raise SystemExit(f"matrix file not found: {path}")
-    return ((path.stem.replace(".mtx", ""), load_matrix_market(path)) for path in spec.matrices)
+    names = [path.stem.replace(".mtx", "") for path in spec.matrices]
+    first = {}
+    for name, path in zip(names, spec.matrices):
+        if first.setdefault(name, path).resolve() != path.resolve():
+            raise SystemExit(f"matrix files {first[name]} and {path} share the output "
+                             f"name {name!r}; rename one")
+    return ((name, load_matrix_market(path)) for name, path in zip(names, spec.matrices))
 
 
 def _drop_label(params: SaiParams) -> str:

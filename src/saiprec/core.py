@@ -116,6 +116,8 @@ class SparseMatrix:
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":
         csc = mat.tocsc()
+        if csc is mat:  # the cleanup below works in place; keep the caller's matrix
+            csc = csc.copy()
         csc.sum_duplicates()
         csc.eliminate_zeros()
         csc.sort_indices()

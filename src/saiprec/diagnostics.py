@@ -39,34 +39,43 @@ class GuaranteeCheck:
 
 
 def _residual_matrix(A: SparseMatrix, M: SparseMatrix):
-    return (A.to_scipy() @ M.to_scipy()).tocsc() - sp.identity(A.nrows, format="csc")
+    """A M - I in CSC with sorted row indices, the order that column sums add in."""
+    R = (A.to_scipy() @ M.to_scipy()).tocsc() - sp.identity(A.nrows, format="csc")
+    R.sum_duplicates()
+    return R
 
 
-def _column_norms(R) -> np.ndarray:
-    """2-norm of every column of the sparse matrix R."""
-    return np.sqrt(np.asarray(R.power(2).sum(axis=0)).ravel())
+def _column_sums(S, values) -> np.ndarray:
+    """Sum of ``values`` (aligned with ``S.data``) over each column of the CSC
+    matrix S, added in the order of scipy's ``S.sum(axis=0)``."""
+    sums = np.zeros(S.shape[1])
+    nonempty = np.flatnonzero(np.diff(S.indptr))
+    sums[nonempty] = np.add.reduceat(values, S.indptr[nonempty])
+    return sums
 
 
-def _one_norm(S) -> float:
-    if S.nnz == 0:
-        return 0.0
-    return float(np.max(np.abs(S).sum(axis=0)))
+def _column_norms(S) -> np.ndarray:
+    """2-norm of every column of the CSC matrix S."""
+    return np.sqrt(_column_sums(S, S.data * S.data))
 
 
-def _max_col_nnz(S, tol=_STRUCT_TOL) -> int:
-    S = S.tocsc()
-    counts = np.zeros(S.shape[1], dtype=np.int64)
-    mask = np.abs(S.data) > tol
-    cols = np.repeat(np.arange(S.shape[1]), np.diff(S.indptr))
-    np.add.at(counts, cols[mask], 1)
-    return int(counts.max()) if counts.size else 0
+def _column_pass(S):
+    """``(norm, ones, twos, p)`` of the CSC matrix S from one pass over its
+    entries: the matrix 1-norm, the column 1-norms and 2-norms, and p, the
+    largest count of entries above ``_STRUCT_TOL`` in one column."""
+    mag = np.abs(S.data)
+    ones = _column_sums(S, mag)
+    counts = np.diff(np.concatenate(([0], np.cumsum(mag > _STRUCT_TOL)))[S.indptr])
+    return float(np.max(ones, initial=0.0)), ones, _column_norms(S), int(np.max(counts, initial=0))
 
 
 def check_nonsingular(M: SparseMatrix):
     """LU pivot test: numerically singular iff min |pivot| <= n*eps*||M||_1."""
     if M.nrows != M.ncols:
         raise ValueError("square matrix required")
-    if M.nnz == 0:
+    # an empty column or row is exactly singular; SuperLU makes illegal BLAS
+    # calls on some such matrices and can crash the process afterwards
+    if M.nnz == 0 or not (M.column_nnz().all() and np.bincount(M.row_idx, minlength=M.nrows).all()):
         return False, 0.0
     try:
         lu = splu(M.to_scipy().tocsc())
@@ -88,26 +97,32 @@ def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,
     """
     operand = A.transpose() if P.side == "left" else A
     M = P.M.transpose() if P.side == "left" else P.M
-    R = _residual_matrix(operand, M)
-    dense_cols = _column_norms(R)
-    p_d = _max_col_nnz(R)
+    res_norm, _, per_column, p_d = _column_pass(_residual_matrix(operand, M))
+    p = p_d
     if reference is not None:
         M_ref = reference.M.transpose() if reference.side == "left" else reference.M
-        p = _max_col_nnz(_residual_matrix(operand, M_ref))
-    else:
-        p = p_d
+        p = _column_pass(_residual_matrix(operand, M_ref))[3]
     nonsingular, pivot_min = check_nonsingular(P.M)
     return QualityReport(
         r_max=P.r_max,
         coln=P.coln(epsilon),
         spar=P.spar,
-        am_minus_i_one_norm=_one_norm(R),
+        am_minus_i_one_norm=res_norm,
         p=p,
         p_d=p_d,
         nonsingular=nonsingular,
         pivot_min=pivot_min,
-        per_column_residuals=dense_cols,
+        per_column_residuals=per_column,
     )
+
+
+def _dense_inverse(A: SparseMatrix):
+    """``(inv, ||inv||_1)`` of the dense A, or None when A is singular."""
+    try:
+        inv = np.linalg.inv(A.to_dense())
+    except np.linalg.LinAlgError:
+        return None
+    return inv, np.abs(inv).sum(axis=0).max()
 
 
 def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
@@ -116,93 +131,66 @@ def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
 
     Each check reports the hypothesis and, when it holds, whether the
     conclusion holds; a failed hypothesis yields "not applicable", never a
-    failed check.
+    failed check. Each of A M - I, A M_d - I and F = M - M_d is reduced in
+    one column pass, and M_d is LU-factored at most once.
     """
-    checks: list[GuaranteeCheck] = []
-    F = (M.to_scipy() - M_d.to_scipy()).tocsc()
     a_norm = A.one_norm()
-    f_norm = _one_norm(F)
-    R = _residual_matrix(A, M)
-    R_d = _residual_matrix(A, M_d)
-    res_norm = _one_norm(R)
+    f_norm, f_cols_1, _, _ = _column_pass((M.to_scipy() - M_d.to_scipy()).tocsc())
+    res_norm, col_res_1, col_res_2, p = _column_pass(_residual_matrix(A, M))
+    rd_norm, rd_cols_1, rd_cols_2, p_d = _column_pass(_residual_matrix(A, M_d))
 
-    # nonsingularity of M - F when ||AM - I|| <= eps < 1 and ||F|| < (1-eps)/||A||
-    hyp1 = res_norm <= epsilon < 1.0 and f_norm < (1.0 - epsilon) / a_norm
-    passed1 = None
-    details1 = {"am_minus_i_1": res_norm, "f_1": f_norm, "bound": (1.0 - epsilon) / a_norm}
-    if hyp1:
-        passed1, details1["pivot_min"] = check_nonsingular(M_d)
-    checks.append(GuaranteeCheck("dropped_inverse_nonsingular", hyp1, passed1, details1))
-
-    # residual doubling bound: ||F|| <= min(eps, 1-eps)/||A|| keeps
+    # nonsingularity of M - F when ||AM - I|| <= eps < 1 and ||F|| < (1-eps)/||A||;
+    # the residual doubling bound: ||F|| <= min(eps, 1-eps)/||A|| keeps
     # ||A M_d - I|| <= min(1, 2 eps) and M_d nonsingular
+    hyp1 = res_norm <= epsilon < 1.0 and f_norm < (1.0 - epsilon) / a_norm
     bound2 = min(epsilon, 1.0 - epsilon) / a_norm
     hyp2 = res_norm <= epsilon < 1.0 and f_norm <= bound2
-    passed2 = None
+    nonsing, pivot_min = check_nonsingular(M_d) if hyp1 or hyp2 else (None, None)
+    passed1, passed2 = None, None
+    details1 = {"am_minus_i_1": res_norm, "f_1": f_norm, "bound": (1.0 - epsilon) / a_norm}
+    if hyp1:
+        passed1, details1["pivot_min"] = nonsing, pivot_min
     details2 = {"f_1": f_norm, "bound": bound2}
     if hyp2:
-        rd_norm = _one_norm(R_d)
-        nonsing, _ = check_nonsingular(M_d)
         passed2 = bool(rd_norm <= min(1.0, 2.0 * epsilon) + 1e-12) and nonsing
         details2["amd_minus_i_1"] = rd_norm
         details2["conclusion_bound"] = min(1.0, 2.0 * epsilon)
-    checks.append(GuaranteeCheck("residual_doubling_matrix_norm", hyp2, passed2, details2))
+    checks = [GuaranteeCheck("dropped_inverse_nonsingular", hyp1, passed1, details1),
+              GuaranteeCheck("residual_doubling_matrix_norm", hyp2, passed2, details2)]
 
     # columnwise version in the 1-norm: residual columns <= eps < 0.5 and
-    # ||f_k||_1 <= eps/||A||_1 imply dropped residual columns <= 2 eps
-    col_res_1 = np.asarray(np.abs(R).sum(axis=0)).ravel()
-    f_cols_1 = np.asarray(np.abs(F).sum(axis=0)).ravel()
-    hyp3 = bool(np.all(col_res_1 <= epsilon) and epsilon < 0.5 and np.all(f_cols_1 <= epsilon / a_norm))
-    passed3 = None
-    details3 = {"max_col_res_1": float(col_res_1.max()) if col_res_1.size else 0.0}
-    if hyp3:
-        rd_cols_1 = np.asarray(np.abs(R_d).sum(axis=0)).ravel()
-        passed3 = bool(np.all(rd_cols_1 <= 2.0 * epsilon + 1e-12))
-        details3["max_dropped_col_res_1"] = float(rd_cols_1.max())
-    checks.append(GuaranteeCheck("residual_doubling_columns_1norm", hyp3, passed3, details3))
-
-    # mixed-norm version: 2-norm residual columns <= eps < 0.5 and 1-norm
-    # ||f_k||_1 <= eps/||A||_1 imply 2-norm dropped residual columns <= 2 eps
-    col_res_2 = _column_norms(R)
-    rd_cols_2 = _column_norms(R_d)
-    hyp5 = bool(np.all(col_res_2 <= epsilon) and epsilon < 0.5 and np.all(f_cols_1 <= epsilon / a_norm))
-    passed5 = None
-    details5 = {"max_col_res_2": float(col_res_2.max()) if col_res_2.size else 0.0}
-    if hyp5:
-        passed5 = bool(np.all(rd_cols_2 <= 2.0 * epsilon + 1e-12))
-        details5["max_dropped_col_res_2"] = float(rd_cols_2.max())
-    checks.append(GuaranteeCheck("residual_doubling_columns_mixed", hyp5, passed5, details5))
+    # ||f_k||_1 <= eps/||A||_1 imply dropped residual columns <= 2 eps; the
+    # mixed-norm version: the same with 2-norm residual columns
+    f_small = epsilon < 0.5 and np.all(f_cols_1 <= epsilon / a_norm)
+    for name, cols, dropped, key in (
+        ("residual_doubling_columns_1norm", col_res_1, rd_cols_1, "col_res_1"),
+        ("residual_doubling_columns_mixed", col_res_2, rd_cols_2, "col_res_2"),
+    ):
+        hyp = bool(np.all(cols <= epsilon) and f_small)
+        details = {f"max_{key}": float(np.max(cols, initial=0.0))}
+        if hyp:
+            details[f"max_dropped_{key}"] = float(np.max(dropped))
+        passed = bool(np.all(dropped <= 2.0 * epsilon + 1e-12)) if hyp else None
+        checks.append(GuaranteeCheck(name, hyp, passed, details))
 
     # residual-sparsity bounds: with p, p_d the max column nnz of the residual
     # matrices, ||AM-I||_1 <= sqrt(p) eps and ||AM_d-I||_1 <= 2 sqrt(p_d) eps;
     # when those bounds are < 1 the factors are nonsingular with relative
     # inverse-error bounds of the same size
     hyp_gh = bool(np.all(col_res_2 <= epsilon) and np.all(rd_cols_2 <= 2.0 * epsilon + 1e-12))
-    passed_gh = None
-    p = _max_col_nnz(R)
-    p_d = _max_col_nnz(R_d)
     details_gh = {"p": p, "p_d": p_d}
+    ok = None
     if hyp_gh:
-        ok = _one_norm(R) <= np.sqrt(p) * epsilon + 1e-12
-        ok = ok and _one_norm(R_d) <= 2.0 * np.sqrt(p_d) * epsilon + 1e-12
+        bound, bound_d = np.sqrt(p) * epsilon, 2.0 * np.sqrt(p_d) * epsilon
+        ok = res_norm <= bound + 1e-12 and rd_norm <= bound_d + 1e-12
         details_gh["norm_bounds_ok"] = bool(ok)
-        if A.nrows <= _DENSE_INVERSE_LIMIT:
-            if np.sqrt(p) * epsilon < 1.0 or 2.0 * np.sqrt(p_d) * epsilon < 1.0:
-                inv_norm = None
-                try:
-                    inv = np.linalg.inv(A.to_dense())
-                    inv_norm = np.abs(inv).sum(axis=0).max()
-                except np.linalg.LinAlgError:
-                    pass
-                if inv_norm is not None:
-                    if np.sqrt(p) * epsilon < 1.0:
-                        err = np.abs(M.to_dense() - inv).sum(axis=0).max() / inv_norm
-                        ok = ok and err <= np.sqrt(p) * epsilon + 1e-12
-                        details_gh["m_relative_error_1"] = float(err)
-                    if 2.0 * np.sqrt(p_d) * epsilon < 1.0:
-                        err_d = np.abs(M_d.to_dense() - inv).sum(axis=0).max() / inv_norm
-                        ok = ok and err_d <= 2.0 * np.sqrt(p_d) * epsilon + 1e-12
-                        details_gh["md_relative_error_1"] = float(err_d)
-        passed_gh = bool(ok)
-    checks.append(GuaranteeCheck("residual_sparsity_bounds", hyp_gh, passed_gh, details_gh))
+        small = A.nrows <= _DENSE_INVERSE_LIMIT and (bound < 1.0 or bound_d < 1.0)
+        inverse = _dense_inverse(A) if small else None
+        for key, X, b in (("m_relative_error_1", M, bound), ("md_relative_error_1", M_d, bound_d)):
+            if inverse is not None and b < 1.0:
+                err = np.abs(X.to_dense() - inverse[0]).sum(axis=0).max() / inverse[1]
+                ok = ok and err <= b + 1e-12
+                details_gh[key] = float(err)
+        ok = bool(ok)
+    checks.append(GuaranteeCheck("residual_sparsity_bounds", hyp_gh, ok, details_gh))
     return checks

@@ -73,9 +73,10 @@ class SolveReport:
 
 class _Operators:
     """One solve of ``A x = b``: the checked A (square), b and M (a
-    SparseMatrix of A's shape, a Preconditioner built for ``params.side``, or
-    None) with product counts, the preconditioned operator ``op`` and its
-    right-hand side ``rhs`` (M b on the left side), and the report.
+    SparseMatrix of A's shape or a Preconditioner built for ``params.side``;
+    None, and only None, under side "none") with product counts, the
+    preconditioned operator ``op`` and its right-hand side ``rhs`` (M b on
+    the left side), and the report.
     ``trivial`` names an exit at x = 0 and is empty otherwise: b = 0 has
     converged, and a left M that maps b to 0 is a breakdown. ``accept`` is
     both solvers' convergence test; ``done`` completes the report.
@@ -95,6 +96,9 @@ class _Operators:
                 raise ValueError(f"a {M.side}-side preconditioner cannot be applied "
                                  f"with side={params.side!r}")
             M = M.M
+        if M is not None and params.side == "none":
+            raise ValueError("a preconditioner was given with side='none'; "
+                             "pass M=None or choose side 'right' or 'left'")
         if M is not None and M.shape != A.shape:
             raise ValueError(f"preconditioner has shape {M.shape}, A has shape {A.shape}")
         self.A = A.to_csr()

@@ -307,6 +307,28 @@ def test_two_methods_of_one_family_stop_before_loading(tmp_path, command, method
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "solve", "sweep", "static"])
+@pytest.mark.parametrize("names", [("a/m.mtx", "b/m.mtx"), ("m.mtx", "m.mtx.gz")])
+def test_matrices_sharing_a_name_stop_before_loading(demo_matrix, tmp_path, monkeypatch,
+                                                     command, names):
+    # both would write m_build.csv / m_M.mtx and rows named "m"; the second
+    # would overwrite the first
+    A, _ = demo_matrix
+    paths = [tmp_path / name for name in names]
+    for path in paths:
+        path.parent.mkdir(exist_ok=True)
+        save_matrix_market(path, A)
+    loaded = []
+    monkeypatch.setattr("saiprec.cli.load_matrix_market", loaded.append)
+    out = tmp_path / "out"
+    message = f"matrix files {re.escape(str(paths[0]))} and {re.escape(str(paths[1]))} share"
+    with pytest.raises(SystemExit, match=message):
+        main([command, "--matrix", str(paths[0]), "--matrix", str(paths[1]),
+              *(["--scalings", "1"] if command == "sweep" else []), "--out", str(out)])
+    assert loaded == []
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_rerun_bit_identical(self, demo_matrix, tmp_path):
         _, path = demo_matrix

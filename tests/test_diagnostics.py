@@ -40,6 +40,19 @@ class TestCheckNonsingular:
         ok, _ = check_nonsingular(SparseMatrix.from_dense(dense))
         assert not ok
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_empty_column_or_row_skips_the_factorization(self, monkeypatch, transpose):
+        # SuperLU makes illegal BLAS calls on some matrices with an empty
+        # column and row, and the process can crash afterwards
+        dense = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        M = SparseMatrix.from_dense(dense.T if transpose else dense)
+
+        def no_splu(_):
+            raise AssertionError("splu called")
+
+        monkeypatch.setattr("saiprec.diagnostics.splu", no_splu)
+        assert check_nonsingular(M) == (False, 0.0)
+
     def test_flag_is_python_bool(self):
         # the CLI writes Python bools as 1/0; a numpy.bool_ would print True/False
         for M in (SparseMatrix.identity(3), SparseMatrix.from_dense(np.diag([1.0, 1e-18]))):
@@ -120,6 +133,23 @@ class TestVerifyDropGuarantees:
             assert chk.passed
             passes += 1
         assert passes >= 5
+
+    def test_dropped_inverse_factored_once(self, monkeypatch):
+        # both nonsingularity checks apply; they share one LU of M_d
+        n = 30
+        A = SparseMatrix.from_dense(4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1))
+        M = SparseMatrix.from_dense(np.linalg.inv(A.to_dense()))
+        calls = []
+
+        def counting(X):
+            calls.append(X)
+            return check_nonsingular(X)
+
+        monkeypatch.setattr("saiprec.diagnostics.check_nonsingular", counting)
+        checks = {c.name: c for c in verify_drop_guarantees(A, M, M, epsilon=0.3)}
+        for name in ("dropped_inverse_nonsingular", "residual_doubling_matrix_norm"):
+            assert checks[name].applicable and checks[name].passed
+        assert len(calls) == 1 and calls[0] is M
 
     def test_violated_hypothesis_is_not_applicable(self):
         rng = np.random.default_rng(17)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from conftest import random_sparse, random_well_conditioned
 from saiprec.core import SparseMatrix
-from saiprec.krylov import SolveParams, bicgstab, gmres_restart
+from saiprec.krylov import SolveParams, bicgstab, gmres_restart, solve
 from saiprec.psai import SaiParams, build_preconditioner
 
 
@@ -170,6 +170,17 @@ class TestPreconditionedSolves:
         for side in ("right", "none"):
             with pytest.raises(ValueError, match="left-side preconditioner"):
                 fn(A, A.matvec(np.ones(10)), M=P, params=SolveParams(method=method, side=side))
+
+    @pytest.mark.parametrize("method, fn", [("bicgstab", bicgstab), ("gmres", gmres_restart)])
+    def test_plain_matrix_rejected_without_side(self, method, fn):
+        # side "none" would ignore M and solve unpreconditioned
+        A = random_well_conditioned(np.random.default_rng(39), 10, density=0.5)
+        with pytest.raises(ValueError, match="preconditioner was given with side='none'"):
+            fn(A, A.matvec(np.ones(10)), M=SparseMatrix.identity(10),
+               params=SolveParams(method=method, side="none"))
+        with pytest.raises(ValueError, match="preconditioner was given with side='none'"):
+            solve(A, A.matvec(np.ones(10)), M=SparseMatrix.identity(10),
+                  params=SolveParams(method=method, side="none"))
 
     @pytest.mark.parametrize("method, fn", [("bicgstab", bicgstab), ("gmres", gmres_restart)])
     def test_nonsquare_matrix_rejected(self, method, fn):

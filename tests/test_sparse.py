@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import matrix_path, random_sparse
 from saiprec.core import (
@@ -210,6 +211,21 @@ class TestCsrCopy:
         B = pickle.loads(pickle.dumps(A))
         assert B._csr_cache is None and B._scipy_cache is None
         assert B.equals(A)
+
+
+class TestFromScipy:
+    @pytest.mark.parametrize("kind", [sp.csc_matrix, sp.csc_array])
+    def test_input_left_unchanged(self, kind):
+        # one explicit zero, one duplicate and unsorted rows: the cleanup
+        # must work on a copy, not on the caller's arrays
+        mat = kind((np.array([1.0, 0.0, 2.0, 3.0, 4.0]), np.array([1, 0, 1, 1, 0]),
+                    np.array([0, 3, 5])), shape=(2, 2))
+        before = [arr.copy() for arr in (mat.data, mat.indices, mat.indptr)]
+        A = SparseMatrix.from_scipy(mat)
+        for arr, old in zip((mat.data, mat.indices, mat.indptr), before):
+            assert np.array_equal(arr, old)
+        assert mat.nnz == 5
+        assert np.array_equal(A.to_dense(), [[0.0, 4.0], [3.0, 3.0]])
 
 
 class TestGatherSubmatrix:

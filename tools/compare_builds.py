@@ -4,7 +4,9 @@
 ``run`` builds a fixed set of configurations with the saiprec found under
 ``--src`` and writes, for each one, the arrays of M (and of the postfiltered
 M_d for the static builds), ``a_one_norm`` and every ``ColumnBuildRecord``
-field to one ``.npz`` file. ``compare`` lists the configurations whose arrays
+field to one ``.npz`` file; for the small matrices it also writes the
+``quality_report`` of every build and the ``verify_drop_guarantees`` checks
+of the diagnostics cases. ``compare`` lists the configurations whose arrays
 differ in any bit between two such files. From the repository root:
 
     python3 tools/compare_builds.py run --src <checkout>/src --out before.npz
@@ -24,11 +26,22 @@ convection-diffusion build and the seed-0 reservoir build run a second time
 with ``threads=2``, so the worker-pool path is compared too. The large
 operators come from ``perfbench/generators.py``. BLAS runs on one thread
 unless the environment says otherwise, so both sides round alike.
+
+Diagnostics: every build of the 80 small matrices also stores its
+``quality_report`` (each field as float64, the per-column residuals last; a
+postfiltered M_d is reported against its unfiltered M, at the postfilter
+floor). Each small matrix also gets a diagnostics case, drawn from its own
+RNG so the builds above stay as they were: right-side builds with drop modes
+none, adaptive and fixed at one epsilon and l_max, and
+``verify_drop_guarantees`` of the none M against each dropped M, stored as
+``applicable``, ``passed`` (NaN for None) and the ``details`` values in key
+order, with the check names and key lists beside them.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -60,20 +73,71 @@ def _small_matrix(rng, case: int):
     return dense
 
 
-def _static(A, kind, power, floor, threads=1):
+def _quality(A, P, epsilon, reference=None) -> dict:
+    """``quality_report`` of P, every field as float64, per-column residuals last."""
+    from saiprec.diagnostics import quality_report
+
+    rep = quality_report(A, P, epsilon, reference)
+    return {"quality": np.concatenate([np.atleast_1d(np.asarray(getattr(rep, f.name), float))
+                                       for f in dataclasses.fields(rep)])}
+
+
+def _checks(A, M, M_d, epsilon) -> dict:
+    """``verify_drop_guarantees``: names and details keys, and per check
+    ``applicable``, ``passed`` (NaN for None) and the details values."""
+    from saiprec.diagnostics import verify_drop_guarantees
+
+    checks = verify_drop_guarantees(A, M, M_d, epsilon)
+    return {
+        "check_keys": np.array([f"{c.name}:{','.join(c.details)}" for c in checks]),
+        "checks": np.array([v for c in checks for v in (
+            c.applicable, np.nan if c.passed is None else c.passed, *c.details.values())], float),
+    }
+
+
+def _static(A, kind, power, floor, threads=1, diagnose=False):
     from saiprec import static
 
     P = static.static_build(A, static.make_pattern(A, kind, power), threads=threads)
-    return [("M", P), ("Md", static.postfilter(A, P, floor=floor))]
+    Md = static.postfilter(A, P, floor=floor)
+    if not diagnose:
+        return [("M", P, {}), ("Md", Md, {})]
+    return [("M", P, _quality(A, P, floor)), ("Md", Md, _quality(A, Md, floor, reference=P))]
+
+
+def _small_build(A, params):
+    from saiprec import build_preconditioner
+
+    P = build_preconditioner(A, params)
+    return [("M", P, _quality(A, P, params.epsilon))]
+
+
+def _diagnostics(A, epsilon, l_max, tol):
+    """Right-side builds with drop modes none, adaptive and fixed, each with
+    its quality report, and the guarantee checks of the none M against each
+    dropped M."""
+    from saiprec import SaiParams, build_preconditioner
+
+    plain = build_preconditioner(A, SaiParams(epsilon=epsilon, l_max=l_max, drop_mode="none"))
+    out = [("none", plain, _quality(A, plain, epsilon))]
+    for mode in ("adaptive", "fixed"):
+        params = SaiParams(epsilon=epsilon, l_max=l_max, drop_mode=mode,
+                           tol=tol if mode == "fixed" else None)
+        P = build_preconditioner(A, params)
+        out.append((mode, P, {**_quality(A, P, epsilon, reference=plain),
+                              **_checks(A, plain.M, P.M, epsilon)}))
+    return out
 
 
 def _configs():
-    """(name, thunk) pairs; each thunk returns a list of (label, Preconditioner)."""
+    """(name, thunk) pairs; each thunk returns a list of (label,
+    Preconditioner, extra arrays)."""
     from saiprec import SaiParams, SparseMatrix, build_preconditioner
     import generators
 
     rng = np.random.default_rng(20240601)
     static_rng = np.random.default_rng(20240602)  # apart, so the other builds stay as they were
+    diag_rng = np.random.default_rng(20240603)  # apart for the same reason
     for case in range(80):
         dense = _small_matrix(rng, case)
         A = SparseMatrix.from_dense(dense)
@@ -82,7 +146,7 @@ def _configs():
             if np.any(dense, axis=1).all():
                 yield (f"small{case:02d}-static-{kind}{power}",
                        lambda A=A, kind=kind, power=power, floor=floor:
-                       _static(A, kind, power, floor))
+                       _static(A, kind, power, floor, diagnose=True))
         for mode in ("none", "adaptive", "fixed"):
             params = SaiParams(
                 epsilon=float(rng.uniform(0.05, 0.45)),
@@ -92,7 +156,12 @@ def _configs():
                 side=("right", "left")[int(rng.integers(2))],
             )
             yield (f"small{case:02d}-{mode}-{params.side}",
-                   lambda A=A, params=params: [("M", build_preconditioner(A, params))])
+                   lambda A=A, params=params: _small_build(A, params))
+        epsilon, l_max = float(diag_rng.uniform(0.05, 0.45)), int(diag_rng.integers(1, 11))
+        tol = float(10.0 ** diag_rng.uniform(-4, -0.5))
+        yield (f"small{case:02d}-diagnostics",
+               lambda A=A, epsilon=epsilon, l_max=l_max, tol=tol:
+               _diagnostics(A, epsilon, l_max, tol))
 
     def cd3d(threads):
         return _static(generators.convection_diffusion_3d(), "iplusa", 3, 0.1, threads)
@@ -100,7 +169,7 @@ def _configs():
     def reservoir(seed, threads):
         params = SaiParams(epsilon=0.2, l_max=8, drop_mode="adaptive")
         A = generators.reservoir_3d(seed, 5.0, 1.02)
-        return [("M", build_preconditioner(A, params, threads=threads))]
+        return [("M", build_preconditioner(A, params, threads=threads), {})]
 
     yield "static-cd3d", lambda: cd3d(1)
     for seed in (0, 1, 2):
@@ -120,16 +189,17 @@ def cmd_run(src: Path, out: Path) -> int:
     sys.path.insert(1, str(ROOT / "perfbench"))
     arrays = {}
     for name, build in _configs():
-        for label, P in build():
+        for label, P, extra in build():
             key = f"{name}/{label}"
             arrays[f"{key}/col_ptr"] = P.M.col_ptr
             arrays[f"{key}/row_idx"] = P.M.row_idx
             arrays[f"{key}/values"] = P.M.values
             arrays[f"{key}/a_one_norm"] = np.array([P.a_one_norm])
             arrays[f"{key}/records"] = _record_array(P.records)
+            arrays.update({f"{key}/{what}": value for what, value in extra.items()})
         print(name, flush=True)
     np.savez_compressed(out, **arrays)
-    print(f"wrote {len(arrays) // 5} builds to {out}")
+    print(f"wrote {len({key.rsplit('/', 1)[0] for key in arrays})} builds to {out}")
     return 0
 
 

@@ -173,6 +173,21 @@ class TestPsaiTolColumn:
         assert rec.guard_flag
         assert np.count_nonzero(vec[1]) == 1
 
+    def test_coefficient_equal_to_fixed_tol_is_dropped(self):
+        # the threshold test is inclusive: |m_j| <= tol drops m_j; tol is the
+        # builder's own value of that coefficient, so the tie is exact
+        A = SparseMatrix.from_dense([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+        base = SaiParams(epsilon=0.05, l_max=1, drop_mode="fixed", tol=1e-300)
+        (support, values), _ = psai_tol_column(A, 0, base, A.one_norm())
+        assert support.tolist() == [0, 1]
+        tie = abs(float(values[1]))
+        below = np.nextafter(tie, 0.0)
+        for tol, kept in ((tie, [0]), (below, [0, 1])):
+            params = SaiParams(epsilon=0.05, l_max=1, drop_mode="fixed", tol=tol)
+            (support, _), rec = psai_tol_column(A, 0, params, A.one_norm())
+            assert support.tolist() == kept
+            assert not rec.guard_flag
+
     def test_fixed_mode_records_adaptive_range(self):
         rng = np.random.default_rng(47)
         A = random_well_conditioned(rng, 8, density=0.5)

@@ -2,7 +2,8 @@
 reference it replaced (a dense length-n power vector plus a structural power
 iteration on |A| that detects stalling), on small matrices with small-integer
 entries (exact cancellation), block-diagonal (reducible) structure and zero
-columns."""
+columns; and the dropping builder against a dense reference of the whole
+drop path (dense ``lstsq`` solves, thresholds, guard, shrink, tolerances)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from saiprec.core import SparseMatrix
 from saiprec.lsq import ColumnLeastSquares
-from saiprec.psai import SaiParams, _power_step, bpsai_column
+from saiprec.psai import SaiParams, _power_step, bpsai_column, psai_tol_column
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=500)
 
@@ -136,3 +137,132 @@ def test_column_growth_matches_dense_reference():
     # both stalling after growth and a loop that adds nothing (cancellation)
     # without stalling were exercised
     assert any(stalled_after_growing) and any(idle_loops)
+
+
+# a decision whose margin is within this relative distance of its cut (or
+# within the value tolerance) may go either way under rounding
+NEAR_CUT = 1e-10
+VALUE_RTOL = 1e-12
+
+
+class NearCut(Exception):
+    """A drop-path decision fell within rounding distance of its cut."""
+
+
+def _near(margin: float, cut: float, scale: float) -> bool:
+    return abs(margin) <= max(NEAR_CUT * abs(cut), VALUE_RTOL * scale)
+
+
+def dense_drop_reference(dense: np.ndarray, k: int, params: SaiParams):
+    """The dropping column loop on dense arrays: every pattern is solved with
+    ``np.linalg.lstsq`` on its rows, the threshold is eps / (nnz * ||A||_1)
+    times ``drop_scale`` (or the fixed ``tol``), entries at or below it are
+    dropped without a re-solve, the guard keeps the largest entry, and
+    dropped indices never re-enter. Raises :class:`NearCut` when a decision
+    is within rounding distance of its cut. Returns the support, the values,
+    the record fields compared, both residuals and the number of entries
+    dropped."""
+    n = dense.shape[0]
+    a_one_norm = float(np.abs(dense).sum(axis=0).max())
+    scale_floor = 1.0 / a_one_norm if a_one_norm > 0.0 else 1.0
+    eps = params.epsilon
+
+    def solve(support):
+        rows = np.union1d(np.flatnonzero(np.any(dense[:, support], axis=1)), [k])
+        block = dense[np.ix_(rows, support)]
+        rhs = (rows == k).astype(np.float64)
+        values = np.linalg.lstsq(block, rhs, rcond=None)[0]
+        return values, float(np.linalg.norm(block @ values - rhs))
+
+    def keeps_going(r):
+        if _near(r - eps, eps, 0.0):
+            raise NearCut("residual against epsilon")
+        return r > eps
+
+    power = DensePowerPattern(SparseMatrix.from_dense(dense), k)
+    support = np.array([k])
+    values, r_solve = solve(support)
+    l, stalled, guard, tols, dropped = 0, False, False, [], 0
+    while keeps_going(r_solve) and l < params.l_max:
+        new = power.advance()
+        if power.exhausted and new.size == 0:
+            stalled = True
+            break
+        l += 1
+        if new.size == 0:
+            continue
+        support = np.union1d(support, new)
+        values, r_solve = solve(support)
+        tols.append(eps / (support.size * a_one_norm))
+        threshold = params.drop_scale * tols[-1] if params.drop_mode == "adaptive" else params.tol
+        magnitude = np.abs(values)
+        scale = max(np.linalg.norm(values), scale_floor)
+        if any(_near(m - threshold, threshold, scale) for m in magnitude):
+            raise NearCut("coefficient against the drop threshold")
+        small = magnitude <= threshold
+        if small.all():
+            top = np.sort(magnitude)[::-1]
+            if top.size > 1 and _near(top[0] - top[1], top[0], scale):
+                raise NearCut("guard between two magnitudes")
+            small[int(np.argmax(magnitude))] = False
+            guard = True
+        support, values = support[~small], values[~small]
+        dropped += int(small.sum())
+    e_k = np.zeros(n)
+    e_k[k] = 1.0
+    post = float(np.linalg.norm(dense[:, support] @ values - e_k))
+    block = dense[np.ix_(np.union1d(np.flatnonzero(np.any(dense[:, support], axis=1)), [k]),
+                         support)]
+    pivots = np.abs(np.diagonal(np.linalg.qr(block, mode="r")))
+    cuts = n * np.finfo(np.float64).eps * np.linalg.norm(block, axis=0)
+    if any(_near(p - c, c, 0.0) for p, c in zip(pivots, cuts) if c > 0.0):
+        raise NearCut("pivot against the rank cut")
+    rank_flag = pivots.size < support.size or bool(np.any(pivots <= cuts[:pivots.size]))
+    record = dict(loops_used=l, stalled=stalled, guard_flag=guard, rank_flag=rank_flag,
+                  met_accuracy=r_solve <= eps,
+                  tol_min=min(tols) if tols else None, tol_max=max(tols) if tols else None)
+    return support, values, record, r_solve, post, dropped
+
+
+@st.composite
+def drop_params(draw):
+    mode = draw(st.sampled_from(["adaptive", "fixed"]))
+    return SaiParams(
+        epsilon=draw(st.sampled_from([0.05, 0.2, 0.4])),
+        l_max=draw(st.integers(1, 8)),
+        drop_mode=mode,
+        drop_scale=draw(st.sampled_from([0.5, 1.0, 4.0, 30.0, 300.0])),
+        tol=draw(st.sampled_from([1e-3, 0.05, 0.25, 0.5, 2.0])) if mode == "fixed" else None,
+    )
+
+
+def test_drop_path_matches_dense_reference():
+    outcomes = []
+
+    @SETTINGS
+    @given(dense=matrices(), params=drop_params(), data=st.data())
+    def check(dense, params, data):
+        n = dense.shape[0]
+        k = data.draw(st.integers(0, n - 1))
+        A = SparseMatrix.from_dense(dense)
+        try:
+            ref_support, ref_values, ref_record, ref_pre, ref_post, dropped = \
+                dense_drop_reference(dense, k, params)
+        except NearCut:
+            outcomes.append("near-cut")
+            return
+        (support, values), rec = psai_tol_column(A, k, params, A.one_norm())
+        assert {f: getattr(rec, f) for f in ref_record} == ref_record
+        assert np.array_equal(support, ref_support)
+        a_one_norm = A.one_norm()
+        scale = max(np.linalg.norm(ref_values), 1.0 / a_one_norm if a_one_norm else 1.0)
+        assert np.linalg.norm(values - ref_values) <= VALUE_RTOL * scale
+        assert abs(rec.pre_drop_residual - ref_pre) <= VALUE_RTOL
+        assert abs(rec.post_drop_residual - ref_post) <= VALUE_RTOL
+        outcomes.append("guard" if rec.guard_flag else "dropped" if dropped else "compared")
+
+    check()
+    # the drop path and the guard were both exercised, and near-cut examples
+    # stay a minority
+    assert "guard" in outcomes and "dropped" in outcomes
+    assert outcomes.count("near-cut") < len(outcomes) // 4

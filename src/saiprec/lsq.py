@@ -1,5 +1,7 @@
 """Per-column least-squares problems min ||A(:, S) m - e_k||_2, solved with
-one dense QR of the block A(R, S) per solve.
+one Householder QR of the block A(R, S) per solve, called straight from
+LAPACK: ``dgeqrf`` factors the block, ``dormqr`` applies Q^T to e_k and
+``dtrtrs`` solves with R; Q is never formed.
 
 The block is reduced to the rows R that actually carry information: the union
 of the row supports of the columns in S. Row k is force-included in R so that
@@ -9,26 +11,43 @@ have a zero block row and a zero right-hand side).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
 from .core import SparseMatrix, _gather, _index_set
 
 _EPS = np.finfo(np.float64).eps
 
 
+def _column_norms(block: np.ndarray) -> np.ndarray:
+    """2-norm of each column of ``block``. A norm whose squares overflow (an
+    entry above about 2**511) is taken again from the column scaled by an
+    exact power of two, so it is the finite one that scale would give."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(block * block, axis=0))  # np.linalg.norm's sum
+    for j in np.flatnonzero(np.isinf(norms)):
+        _, exponent = np.frexp(np.max(np.abs(block[:, j])))
+        norms[j] = np.ldexp(np.linalg.norm(np.ldexp(block[:, j], -exponent)), exponent)
+    return norms
+
+
 class ColumnLeastSquares:
     """State of one column's LS problem: pattern, gathered block, solution.
 
     Construction and :meth:`augment` gather the block A(R, S) afresh and solve
-    with one QR of it. :meth:`shrink` slices the held block and neither
-    factors nor re-solves: the kept coefficients keep their values (the
-    builders' dropped-column semantics).
+    with one QR of it (``dgeqrf``, Q^T e_k by ``dormqr``, R x = Q^T e_k by
+    ``dtrtrs``). :meth:`shrink` slices the held block and neither factors
+    nor re-solves: the kept coefficients keep their values (the builders'
+    dropped-column semantics).
 
     Rank deficiency (a pivot at or below ``n * eps * column_norm``, or a
     column with no pivot row left) switches solves to a minimum-norm fallback
-    and sets :attr:`rank_flag`; after a shrink the flag is computed from the
-    R factor of the new block when it is first read.
+    and sets :attr:`rank_flag`; the pivots are read from the same factor, and
+    after a shrink the flag is computed from a ``dgeqrf`` of the new block
+    when it is first read. A solution that is not finite (an entry of A so
+    small that its inverse overflows) raises ``ValueError`` naming column k.
 
     The builders hand ``(support, solution)`` on as the column of M; a
     coefficient may come out exactly zero, and assembly purges it.
@@ -64,7 +83,7 @@ class ColumnLeastSquares:
     @property
     def rank_flag(self) -> bool:
         if self._rank_flag is None:
-            self._rank_flag = self._deficient(np.linalg.qr(self._block, mode="r"))
+            self._rank_flag = self._deficient(dgeqrf(self._block)[0])
         return self._rank_flag
 
     # ------------------------------------------------------------------
@@ -113,19 +132,24 @@ class ColumnLeastSquares:
 
     def _deficient(self, R: np.ndarray) -> bool:
         pivots = np.abs(np.diagonal(R))
-        norms = np.linalg.norm(self._block, axis=0)
+        norms = _column_norms(self._block)
         # with more columns than rows the trailing columns have no pivot row
         return pivots.size < norms.size or bool(np.any(pivots <= self._A.nrows * _EPS * norms))
 
     def _solve(self):
-        Q, R = np.linalg.qr(self._block)
-        self._rank_flag = self._deficient(R)
+        qr, tau, _, _ = dgeqrf(self._block)
+        self._rank_flag = self._deficient(qr)
         if self._rank_flag:
-            self._solution, *_ = np.linalg.lstsq(self._block, self._rhs, rcond=None)
+            solution = np.linalg.lstsq(self._block, self._rhs, rcond=None)[0]
         else:
-            qtb = Q[np.searchsorted(self._rows, self.k)]
-            self._solution = sla.solve_triangular(R, qtb, check_finite=False)
+            # Q^T e_k from the Householder vectors, then R x = (Q^T e_k)[:n]
+            qtb, _, _ = dormqr("L", "T", qr, tau, self._rhs[:, None], 1)
+            solution = dtrtrs(qr, qtb, overwrite_b=1)[0][: qr.shape[1], 0]
+        if not np.isfinite(solution).all():
+            raise ValueError(f"column {self.k}: the least-squares solution is not finite")
+        self._solution = solution
         self._set_residual()
 
     def _set_residual(self):
-        self.residual_norm = float(np.linalg.norm(self._block @ self._solution - self._rhs))
+        r = self._block @ self._solution - self._rhs
+        self.residual_norm = math.sqrt(r.dot(r))  # np.linalg.norm's sum

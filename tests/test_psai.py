@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -346,3 +348,37 @@ class TestEmptyMatrix:
         A = self.empty_matrix(tmp_path)
         with pytest.raises(ValueError, match="empty 0x0 matrix"):
             static_build(A, make_pattern(A, "iplusa", 1))
+
+
+BUILDERS = {
+    "adaptive": lambda A: build_preconditioner(A, SaiParams(epsilon=0.25, l_max=4)),
+    "static": lambda A: static_build(A, make_pattern(A, "iplusa", 2)),
+}
+
+
+class TestFloatingPointRange:
+    """Builds at the ends of the double range: no spurious flags, and a
+    column whose solution overflows is named."""
+
+    @pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_rank_flags_do_not_depend_on_scale(self, builder):
+        rng = np.random.default_rng(5)
+        dense = random_sparse(rng, 30, 0.15, diag_boost=2.0).to_dense()
+        dense[:, 9] = dense[:, 4]  # equal columns: some blocks are rank-deficient
+        flags = [rec.rank_flag for rec in builder(SparseMatrix.from_dense(dense)).records]
+        assert any(flags) and not all(flags)
+        for exponent in (511, 600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                P = builder(SparseMatrix.from_dense(np.ldexp(dense, exponent)))
+            assert [rec.rank_flag for rec in P.records] == flags
+
+    @pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_non_finite_solution_names_the_column(self, builder):
+        # column 2 of A holds only a subnormal entry: 1 / 2.2e-313 overflows
+        A = random_sparse(np.random.default_rng(0), 4, 0.25, diag_boost=2.2250738585e-313)
+        assert A.column(2)[0].tolist() == [2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="column 2: the least-squares solution is not finite"):
+                builder(A)

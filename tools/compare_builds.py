@@ -12,6 +12,21 @@ differ in any bit between two such files. From the repository root:
     python3 tools/compare_builds.py run --src <checkout>/src --out before.npz
     python3 tools/compare_builds.py run --src src --out after.npz
     python3 tools/compare_builds.py compare before.npz after.npz
+    python3 tools/compare_builds.py compare before.npz after.npz --rtol 1e-12
+
+With ``--rtol``, for a change that moves rounding: each column k of M (of
+the operand, for a left-side build) is compared as a dense vector, a missing
+entry counting as 0, and passes when ||m_k - m'_k||_2 <= rtol *
+max(||m_k||_2, 1/||A||_1). Records must match exactly, except the residuals
+(within rtol, relative to max(r, 1)) and the postfilter tolerances (within
+rtol, relative). Every column outside that is listed with its cause and its
+margin: entries of rounding size that are exactly 0.0 on the other side; a
+guard that chose between two magnitudes that tie or are noise (``guard_gap``
+below 1e-10); or a postfilter tolerance moved because nnz(m_k) counted such
+an entry. A column with no such cause, a missing array, a differing
+``a_one_norm``, a diagnostic outside rtol with no divergent column to
+explain it, or a two-worker build that differs in any bit from its
+one-worker twin fails the comparison (exit code 1).
 
 The set: 240 small random builds (80 matrices of order 4-25 with
 small-integer entries, some block-diagonal, some with a zero column, each
@@ -54,6 +69,10 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 RECORD_FIELDS = ("k", "loops_used", "pre_drop_residual", "post_drop_residual", "nnz_final",
                  "met_accuracy", "rank_flag", "guard_flag", "stalled", "tol_min", "tol_max")
+RESIDUALS = ("pre_drop_residual", "post_drop_residual")
+RESIDUAL_NORM, STRUCT_COUNTS = 3, {4, 5}  # quality row: ||A M - I||_1, then p and p_d
+GUARD_TIE = 1e-10  # a guard gap below this, relative to the column's scale, is a tie or noise
+TOLERANCES = ("tol_min", "tol_max")
 
 
 def _small_matrix(rng, case: int):
@@ -105,34 +124,64 @@ def _static(A, kind, power, floor, threads=1, diagnose=False):
     return [("M", P, _quality(A, P, floor)), ("Md", Md, _quality(A, Md, floor, reference=P))]
 
 
-def _small_build(A, params):
+def _build(A, params, threads=1):
+    """``build_preconditioner`` with, in one process, the guard's margin of
+    each column: every shrink that keeps a single entry (the guard's case
+    among them) is watched, and ``guard_gap`` holds per column the smallest
+    gap between the two largest pre-drop magnitudes, over max(||m_k||_2,
+    1/||A||_1); NaN where no such shrink ran."""
     from saiprec import build_preconditioner
+    from saiprec.lsq import ColumnLeastSquares
 
-    P = build_preconditioner(A, params)
-    return [("M", P, _quality(A, P, params.epsilon))]
+    if threads != 1:
+        return build_preconditioner(A, params, threads=threads), {}
+    events = []
+    shrink = ColumnLeastSquares.shrink
+
+    def watched(state, removed):
+        if state.support.size - len(removed) == 1:
+            magnitude = np.abs(state.solution)
+            top = np.sort(magnitude)[-2:]
+            events.append((state.k, top[1] - top[0], np.linalg.norm(magnitude)))
+        return shrink(state, removed)
+
+    ColumnLeastSquares.shrink = watched
+    try:
+        P = build_preconditioner(A, params)
+    finally:
+        ColumnLeastSquares.shrink = shrink
+    gap = np.full(P.M.ncols, np.nan)
+    for k, apart, norm in events:
+        gap[k] = np.fmin(gap[k], apart / max(norm, 1.0 / P.a_one_norm))
+    return P, {"guard_gap": gap}
+
+
+def _small_build(A, params):
+    P, gap = _build(A, params)
+    return [("M", P, {**_quality(A, P, params.epsilon), **gap})]
 
 
 def _diagnostics(A, epsilon, l_max, tol):
     """Right-side builds with drop modes none, adaptive and fixed, each with
     its quality report, and the guarantee checks of the none M against each
     dropped M."""
-    from saiprec import SaiParams, build_preconditioner
+    from saiprec import SaiParams
 
-    plain = build_preconditioner(A, SaiParams(epsilon=epsilon, l_max=l_max, drop_mode="none"))
+    plain, _ = _build(A, SaiParams(epsilon=epsilon, l_max=l_max, drop_mode="none"))
     out = [("none", plain, _quality(A, plain, epsilon))]
     for mode in ("adaptive", "fixed"):
         params = SaiParams(epsilon=epsilon, l_max=l_max, drop_mode=mode,
                            tol=tol if mode == "fixed" else None)
-        P = build_preconditioner(A, params)
+        P, gap = _build(A, params)
         out.append((mode, P, {**_quality(A, P, epsilon, reference=plain),
-                              **_checks(A, plain.M, P.M, epsilon)}))
+                              **_checks(A, plain.M, P.M, epsilon), **gap}))
     return out
 
 
 def _configs():
     """(name, thunk) pairs; each thunk returns a list of (label,
     Preconditioner, extra arrays)."""
-    from saiprec import SaiParams, SparseMatrix, build_preconditioner
+    from saiprec import SaiParams, SparseMatrix
     import generators
 
     rng = np.random.default_rng(20240601)
@@ -169,7 +218,8 @@ def _configs():
     def reservoir(seed, threads):
         params = SaiParams(epsilon=0.2, l_max=8, drop_mode="adaptive")
         A = generators.reservoir_3d(seed, 5.0, 1.02)
-        return [("M", build_preconditioner(A, params, threads=threads), {})]
+        P, gap = _build(A, params, threads)
+        return [("M", P, gap)]
 
     yield "static-cd3d", lambda: cd3d(1)
     for seed in (0, 1, 2):
@@ -195,6 +245,7 @@ def cmd_run(src: Path, out: Path) -> int:
             arrays[f"{key}/row_idx"] = P.M.row_idx
             arrays[f"{key}/values"] = P.M.values
             arrays[f"{key}/a_one_norm"] = np.array([P.a_one_norm])
+            arrays[f"{key}/left"] = np.array([P.side == "left"])
             arrays[f"{key}/records"] = _record_array(P.records)
             arrays.update({f"{key}/{what}": value for what, value in extra.items()})
         print(name, flush=True)
@@ -203,21 +254,189 @@ def cmd_run(src: Path, out: Path) -> int:
     return 0
 
 
-def cmd_compare(first: Path, second: Path) -> int:
-    with np.load(first, allow_pickle=False) as a, np.load(second, allow_pickle=False) as b:
-        keys = sorted(set(a.files) | set(b.files))
-        differ = {}
-        for key in keys:
-            same = (key in a.files and key in b.files and a[key].dtype == b[key].dtype
-                    and a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes())
-            if not same:
-                name, label, what = key.split("/")
-                differ.setdefault(f"{name}/{label}", []).append(what)
+def cmd_compare(first: Path, second: Path, rtol: float | None = None) -> int:
+    with np.load(first, allow_pickle=False) as fa, np.load(second, allow_pickle=False) as fb:
+        a, b = dict(fa), dict(fb)
+    if rtol is not None:
+        return _compare_within(a, b, rtol)
+    keys = sorted(set(a) | set(b))
+    differ = {}
+    for key in keys:
+        same = (key in a and key in b and a[key].dtype == b[key].dtype
+                and a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes())
+        if not same:
+            name, label, what = key.split("/")
+            differ.setdefault(f"{name}/{label}", []).append(what)
     builds = len({k.rsplit("/", 1)[0] for k in keys})
     for build, fields in sorted(differ.items()):
         print(f"DIFFERS {build}: {', '.join(fields)}")
     print(f"{len(differ)} of {builds} builds differ")
     return 1 if differ else 0
+
+
+def _matrix(arrays: dict, build: str):
+    """M of ``build`` as scipy CSC, transposed for a left-side build so that
+    column k is the column that record k describes."""
+    import scipy.sparse as sp
+
+    col_ptr = arrays[f"{build}/col_ptr"]
+    n = col_ptr.size - 1
+    M = sp.csc_matrix((arrays[f"{build}/values"], arrays[f"{build}/row_idx"], col_ptr),
+                      shape=(n, n))
+    return M.T.tocsc() if arrays[f"{build}/left"][0] else M
+
+
+def _column_norms(S) -> np.ndarray:
+    return np.sqrt(np.asarray(S.multiply(S).sum(axis=0)).ravel())
+
+
+def _column_max(S) -> np.ndarray:
+    return S.max(axis=0).toarray().ravel() if S.nnz else np.zeros(S.shape[1])
+
+
+def _record_misfits(ra, rb, rtol: float, postfiltered: bool) -> dict:
+    """Per record field, a mask of the columns where the two sides disagree:
+    exactly, or by more than rtol for the residuals (relative to max(r, 1))
+    and for the postfilter tolerances (relative)."""
+    out = {}
+    for j, field in enumerate(RECORD_FIELDS):
+        x, y = ra[:, j], rb[:, j]
+        if field.endswith("residual"):
+            bad = ~(np.abs(x - y) <= rtol * np.maximum(np.abs(x), 1.0))
+        elif postfiltered and field.startswith("tol_"):
+            bad = ~(np.abs(x - y) <= rtol * np.abs(x))
+        else:
+            bad = ~((x == y) | (np.isnan(x) & np.isnan(y)))
+        if bad.any():
+            out[field] = bad
+    return out
+
+
+def _diverging_columns(a: dict, b: dict, build: str, rtol: float, noisy_in_m: dict):
+    """(column, cause, margin, rounding-level) for every column of ``build``
+    that differs beyond the tolerance, and the columns whose entry count
+    changed through noise (for the postfiltered M_d of the same build)."""
+    Ma, Mb = _matrix(a, build), _matrix(b, build)
+    scale = np.maximum(_column_norms(Ma), 1.0 / a[f"{build}/a_one_norm"][0])
+    apart = _column_norms(Ma - Mb)
+    Pa, Pb = Ma.copy(), Mb.copy()
+    Pa.data[:], Pb.data[:] = 1.0, 1.0
+    X = (Pa - Pb).tocsc()  # +1: entry only in the first M, -1: only in the second
+    one_sided = np.diff(X.indptr) > 0
+    only = _column_max(abs(Ma).multiply(X > 0) + abs(Mb).multiply(X < 0))
+    nan = np.full(Ma.shape[1], np.nan)
+    gap = np.fmin(a.get(f"{build}/guard_gap", nan), b.get(f"{build}/guard_gap", nan))
+    ra, rb = a[f"{build}/records"], b[f"{build}/records"]
+    misfits = _record_misfits(ra, rb, rtol, build.endswith("/Md"))
+    record_bad = np.zeros(Ma.shape[1], dtype=bool)
+    for bad in misfits.values():
+        record_bad |= bad
+    guard = RECORD_FIELDS.index("guard_flag")
+    rows, noisy = [], {}
+    for k in np.flatnonzero((apart > rtol * scale) | one_sided | record_bad):
+        fields = {f for f, bad in misfits.items() if bad[k]}
+        within = apart[k] <= rtol * scale[k]
+        if within and fields <= {"nnz_final"}:
+            nnz = RECORD_FIELDS.index("nnz_final")
+            noisy[k] = (f"{ra[k, nnz]:.0f} vs {rb[k, nnz]:.0f}", only[k] / scale[k])
+            rows.append((k, "entries exactly 0.0 on the other side", only[k] / scale[k], True))
+        elif ra[k, guard] == rb[k, guard] == 1.0 and gap[k] <= GUARD_TIE:
+            rows.append((k, "the guard kept one of two magnitudes that tie or are noise",
+                         gap[k], True))
+        elif k in noisy_in_m and fields <= {"nnz_final", "guard_flag", *RESIDUALS, *TOLERANCES}:
+            counts, margin = noisy_in_m[k]
+            x = ra[k, RECORD_FIELDS.index("tol_min")]
+            y = rb[k, RECORD_FIELDS.index("tol_min")]
+            rows.append((k, f"postfilter counted noise entries of M in nnz(m_k) ({counts}), "
+                            f"which moved its tolerance by {abs(x - y) / x:.3g}", margin, True))
+        else:
+            rows.append((k, f"no rounding-level cause (|dm|/scale {apart[k] / scale[k]:.3g}, "
+                            f"records {sorted(fields)})", apart[k] / scale[k], False))
+    return rows, noisy
+
+
+def _extras_apart(a: dict, b: dict, build: str, rtol: float) -> list:
+    """(name, rounding-level cause or None) for each stored diagnostic
+    (quality report, guarantee checks) of ``build`` that differs beyond
+    rtol, relative to the larger magnitude or 1: they are residual norms,
+    ratios and counts, whose scale is that of ||e_k|| = 1."""
+    out = []
+    for key in sorted(k for k in a if k.startswith(f"{build}/")):
+        what = key.rsplit("/", 1)[1]
+        if what in ("col_ptr", "row_idx", "values", "a_one_norm", "records", "guard_gap"):
+            continue
+        x, y = a[key], b[key]
+        if x.shape != y.shape or x.dtype.kind != "f":
+            if not np.array_equal(x, y):
+                out.append((what, None))
+            continue
+        apart = ~((np.abs(x - y) <= rtol * np.maximum(np.maximum(np.abs(x), np.abs(y)), 1.0))
+                  | (np.isnan(x) & np.isnan(y)))
+        if not apart.any():
+            continue
+        cause = None
+        if what == "quality" and set(np.flatnonzero(apart)) <= STRUCT_COUNTS:
+            # p and p_d count entries of A M - I above 1e-14; with ||A M - I||_1
+            # (so every entry) below rtol on both sides, which entries pass is rounding
+            norms = [x[RESIDUAL_NORM], y[RESIDUAL_NORM]]
+            if build.endswith("/Md"):
+                reference = build[:-1]
+                norms += [a[f"{reference}/quality"][RESIDUAL_NORM],
+                          b[f"{reference}/quality"][RESIDUAL_NORM]]
+            if max(norms) <= rtol:
+                cause = (f"p/p_d count entries of A M - I above 1e-14, and ||A M - I||_1 "
+                         f"is at most {max(norms):.3g}")
+        out.append((what, cause))
+    return out
+
+
+def _worker_invariance(arrays: dict) -> list:
+    """Builds run with two workers whose arrays differ in any bit from the
+    same build run in one process."""
+    out = []
+    for key in sorted(k for k in arrays if "-threads2/" in k):
+        twin = key.replace("-threads2/", "/")
+        if arrays[key].tobytes() != arrays[twin].tobytes():
+            out.append(key)
+    return out
+
+
+def _compare_within(a: dict, b: dict, rtol: float) -> int:
+    """Tolerance mode: every column within rtol normwise, records exact
+    except residuals and postfilter tolerances, and every column outside
+    that attributed to a rounding-level cause."""
+    failures = [f"missing in one file: {key}" for key in sorted(set(a) ^ set(b))]
+    for name, arrays in (("first", a), ("second", b)):
+        failures += [f"{name} file: {key} differs between 1 and 2 workers"
+                     for key in _worker_invariance(arrays)]
+    builds = sorted({k.rsplit("/", 1)[0] for k in a if k in b})
+    bitwise = sum(any(a[k].tobytes() != b[k].tobytes() for k in a if k.startswith(f"{build}/"))
+                  for build in builds)
+    listed, noisy_in_m = 0, {}
+    for build in builds:  # "<name>/M" sorts before "<name>/Md"
+        if a[f"{build}/a_one_norm"].tobytes() != b[f"{build}/a_one_norm"].tobytes():
+            failures.append(f"{build}: a_one_norm differs")
+            continue
+        name = build.rsplit("/", 1)[0]
+        rows, noisy = _diverging_columns(a, b, build, rtol, noisy_in_m.get(name, {}))
+        if build.endswith("/M"):
+            noisy_in_m[name] = noisy
+        for k, cause, margin, rounding in rows:
+            print(f"{'DIVERGES' if rounding else 'FAILS'} {build} column {k}: {cause}; "
+                  f"margin {margin:.3g}")
+            if not rounding:
+                failures.append(f"{build} column {k}")
+        listed += len(rows)
+        for what, cause in _extras_apart(a, b, build, rtol):
+            if cause is None and not rows:
+                failures.append(f"{build}: {what} differs beyond rtol with every column within it")
+            else:
+                print(f"DIVERGES {build}: {what}, {cause or 'from the columns above'}")
+    for failure in failures:
+        print(f"FAILS {failure}")
+    print(f"{bitwise} of {len(builds)} builds differ in some bit; {listed} columns diverge "
+          f"(values beyond rtol {rtol:g}, or records); {len(failures)} failures")
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -229,10 +448,12 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="list the builds that differ between two files")
     p_cmp.add_argument("first", type=Path)
     p_cmp.add_argument("second", type=Path)
+    p_cmp.add_argument("--rtol", type=float, default=None,
+                       help="compare each column within rtol normwise instead of bit for bit")
     args = parser.parse_args(argv)
     if args.command == "run":
         return cmd_run(args.src, args.out)
-    return cmd_compare(args.first, args.second)
+    return cmd_compare(args.first, args.second, args.rtol)
 
 
 if __name__ == "__main__":

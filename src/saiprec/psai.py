@@ -2,7 +2,8 @@
 
 Two column builders share one loop: the pattern of column k grows by the
 numerical nonzeros of the powers A^l e_k, kept as sparse vectors, and each
-growth step ends with one QR solve of the column's least-squares problem. A
+growth step ends with one solve of the column's least-squares problem (a
+LAPACK QR of its block, applied to e_k without forming Q; see ``lsq``). A
 column stops early (stalled) once A maps its reached index set into itself, as
 no index can be new again. The plain builder never drops; the dropping builder
 removes small entries after each solve (the block is sliced, not factored)

@@ -167,10 +167,13 @@ def dense_drop_reference(dense: np.ndarray, k: int, params: SaiParams):
     scale_floor = 1.0 / a_one_norm if a_one_norm > 0.0 else 1.0
     eps = params.epsilon
 
-    def solve(support):
+    def block_of(support):
+        """A(R, S): the rows nonzero in the pattern's columns, and row k."""
         rows = np.union1d(np.flatnonzero(np.any(dense[:, support], axis=1)), [k])
-        block = dense[np.ix_(rows, support)]
-        rhs = (rows == k).astype(np.float64)
+        return dense[np.ix_(rows, support)], (rows == k).astype(np.float64)
+
+    def solve(support):
+        block, rhs = block_of(support)
         values = np.linalg.lstsq(block, rhs, rcond=None)[0]
         return values, float(np.linalg.norm(block @ values - rhs))
 
@@ -208,11 +211,8 @@ def dense_drop_reference(dense: np.ndarray, k: int, params: SaiParams):
             guard = True
         support, values = support[~small], values[~small]
         dropped += int(small.sum())
-    e_k = np.zeros(n)
-    e_k[k] = 1.0
-    post = float(np.linalg.norm(dense[:, support] @ values - e_k))
-    block = dense[np.ix_(np.union1d(np.flatnonzero(np.any(dense[:, support], axis=1)), [k]),
-                         support)]
+    block, rhs = block_of(support)
+    post = float(np.linalg.norm(block @ values - rhs))
     pivots = np.abs(np.diagonal(np.linalg.qr(block, mode="r")))
     cuts = n * np.finfo(np.float64).eps * np.linalg.norm(block, axis=0)
     if any(_near(p - c, c, 0.0) for p, c in zip(pivots, cuts) if c > 0.0):
@@ -244,17 +244,17 @@ def test_drop_path_matches_dense_reference():
     def check(dense, params, data):
         n = dense.shape[0]
         k = data.draw(st.integers(0, n - 1))
-        A = SparseMatrix.from_dense(dense)
         try:
             ref_support, ref_values, ref_record, ref_pre, ref_post, dropped = \
                 dense_drop_reference(dense, k, params)
         except NearCut:
             outcomes.append("near-cut")
             return
-        (support, values), rec = psai_tol_column(A, k, params, A.one_norm())
+        A = SparseMatrix.from_dense(dense)
+        a_one_norm = A.one_norm()
+        (support, values), rec = psai_tol_column(A, k, params, a_one_norm)
         assert {f: getattr(rec, f) for f in ref_record} == ref_record
         assert np.array_equal(support, ref_support)
-        a_one_norm = A.one_norm()
         scale = max(np.linalg.norm(ref_values), 1.0 / a_one_norm if a_one_norm else 1.0)
         assert np.linalg.norm(values - ref_values) <= VALUE_RTOL * scale
         assert abs(rec.pre_drop_residual - ref_pre) <= VALUE_RTOL

@@ -301,9 +301,9 @@ def _record_misfits(ra, rb, rtol: float, postfiltered: bool) -> dict:
     out = {}
     for j, field in enumerate(RECORD_FIELDS):
         x, y = ra[:, j], rb[:, j]
-        if field.endswith("residual"):
+        if field in RESIDUALS:
             bad = ~(np.abs(x - y) <= rtol * np.maximum(np.abs(x), 1.0))
-        elif postfiltered and field.startswith("tol_"):
+        elif postfiltered and field in TOLERANCES:
             bad = ~(np.abs(x - y) <= rtol * np.abs(x))
         else:
             bad = ~((x == y) | (np.isnan(x) & np.isnan(y)))
@@ -331,13 +331,12 @@ def _diverging_columns(a: dict, b: dict, build: str, rtol: float, noisy_in_m: di
     record_bad = np.zeros(Ma.shape[1], dtype=bool)
     for bad in misfits.values():
         record_bad |= bad
-    guard = RECORD_FIELDS.index("guard_flag")
+    guard, nnz, tol = (RECORD_FIELDS.index(f) for f in ("guard_flag", "nnz_final", "tol_min"))
     rows, noisy = [], {}
     for k in np.flatnonzero((apart > rtol * scale) | one_sided | record_bad):
         fields = {f for f, bad in misfits.items() if bad[k]}
         within = apart[k] <= rtol * scale[k]
         if within and fields <= {"nnz_final"}:
-            nnz = RECORD_FIELDS.index("nnz_final")
             noisy[k] = (f"{ra[k, nnz]:.0f} vs {rb[k, nnz]:.0f}", only[k] / scale[k])
             rows.append((k, "entries exactly 0.0 on the other side", only[k] / scale[k], True))
         elif ra[k, guard] == rb[k, guard] == 1.0 and gap[k] <= GUARD_TIE:
@@ -345,10 +344,9 @@ def _diverging_columns(a: dict, b: dict, build: str, rtol: float, noisy_in_m: di
                          gap[k], True))
         elif k in noisy_in_m and fields <= {"nnz_final", "guard_flag", *RESIDUALS, *TOLERANCES}:
             counts, margin = noisy_in_m[k]
-            x = ra[k, RECORD_FIELDS.index("tol_min")]
-            y = rb[k, RECORD_FIELDS.index("tol_min")]
+            moved = abs(ra[k, tol] - rb[k, tol]) / ra[k, tol]
             rows.append((k, f"postfilter counted noise entries of M in nnz(m_k) ({counts}), "
-                            f"which moved its tolerance by {abs(x - y) / x:.3g}", margin, True))
+                            f"which moved its tolerance by {moved:.3g}", margin, True))
         else:
             rows.append((k, f"no rounding-level cause (|dm|/scale {apart[k] / scale[k]:.3g}, "
                             f"records {sorted(fields)})", apart[k] / scale[k], False))

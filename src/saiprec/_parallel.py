@@ -1,13 +1,15 @@
-"""Process-based fan-out over independent column tasks.
+"""Process-based fan-out over independent blocks of columns.
 
-Columns carry lots of small numpy calls, so threads serialize on the GIL;
-worker processes give real speedup. The shared arguments ship once per worker
-through the pool initializer, results come back in column order and are
-deposited by index, so output is bit-identical for any worker count. Each
-worker runs BLAS on one thread: the workers already fill the cores, and
-threaded BLAS inside each of them oversubscribes the CPU. The in-process path
-holds BLAS at one thread only for the call, since the per-column problems are
-too small for threaded BLAS to pay off.
+A block of columns carries lots of small numpy calls, so threads serialize on
+the GIL; worker processes give real speedup. The columns are cut into
+consecutive blocks of a size the caller fixes, independent of the worker
+count; each block is one task. The shared arguments ship once per worker
+through the pool initializer and the results come back in block order, so
+output is bit-identical for any worker count. Each worker runs BLAS on one
+thread: the workers already fill the cores, and threaded BLAS inside each of
+them oversubscribes the CPU. The in-process path holds BLAS at one thread
+only for the call, since the per-column problems are too small for threaded
+BLAS to pay off.
 """
 
 from __future__ import annotations
@@ -74,27 +76,27 @@ def _init(fn, args):
     _worker_args = args
 
 
-def _run(k):
-    return _worker_fn(k, *_worker_args)
+def _run(ks):
+    return _worker_fn(ks, *_worker_args)
 
 
-def map_columns(fn, args: tuple, n: int, workers: int) -> list:
-    """Evaluate ``fn(k, *args)`` for k in range(n), in order.
+def map_columns(fn, args: tuple, n: int, workers: int, block: int = 1) -> list:
+    """Evaluate ``fn(ks, *args)`` for the consecutive blocks ``ks`` =
+    ``range(lo, min(lo + block, n))`` that cover ``range(n)``; returns one
+    result per block, in order.
 
     ``fn`` must be a module-level function (pickled by reference). With
     ``workers`` <= 1, or too few columns to amortize process startup, runs
     sequentially in-process, with BLAS on one thread for the call.
     """
-    results = [None] * n
+    blocks = [range(lo, min(lo + block, n)) for lo in range(0, n, block)]
     if workers and workers > 1 and n >= _MIN_PARALLEL_COLUMNS:
-        chunk = max(8, n // (workers * 8))
+        # about 8 chunks of blocks per worker, so that the workers stay
+        # balanced
+        chunk = max(1, len(blocks) // (workers * 8))
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init, initargs=(fn, args)
         ) as pool:
-            for k, out in enumerate(pool.map(_run, range(n), chunksize=chunk)):
-                results[k] = out
-    else:
-        with _one_blas_thread():
-            for k in range(n):
-                results[k] = fn(k, *args)
-    return results
+            return list(pool.map(_run, blocks, chunksize=chunk))
+    with _one_blas_thread():
+        return [fn(ks, *args) for ks in blocks]

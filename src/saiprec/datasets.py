@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import gzip
 import io
+import os
+import posixpath
 import shutil
 import tarfile
 import urllib.request
@@ -58,20 +60,37 @@ CATALOG = [
 BY_NAME = {entry.name: entry for entry in CATALOG}
 
 
+def _copy_to(src, dest: Path):
+    """Copy the stream ``src`` to ``dest`` through a temporary file beside
+    it, so a copy that fails (a truncated payload, say) leaves no ``dest``
+    that a later call would take as present."""
+    tmp = dest.with_name(f".{dest.name}.part")
+    try:
+        with open(tmp, "wb") as out:
+            shutil.copyfileobj(src, out)
+        os.replace(tmp, dest)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _store_gz(payload: bytes, dest: Path):
-    with gzip.open(io.BytesIO(payload), "rb") as gz, open(dest, "wb") as out:
-        shutil.copyfileobj(gz, out)
+    with gzip.open(io.BytesIO(payload), "rb") as gz:
+        _copy_to(gz, dest)
 
 
 def _store_tar(payload: bytes, name: str, dest: Path):
+    """Store the archive's regular file whose basename is ``<name>.mtx``."""
     with tarfile.open(fileobj=io.BytesIO(payload), mode="r:gz") as tar:
         member = next(
-            (m for m in tar.getmembers() if m.name.endswith(f"{name}.mtx")), None
+            (m for m in tar.getmembers()
+             if m.isfile() and posixpath.basename(m.name) == f"{name}.mtx"),
+            None,
         )
         if member is None:
             raise RuntimeError(f"no {name}.mtx inside archive")
-        with tar.extractfile(member) as src, open(dest, "wb") as out:
-            shutil.copyfileobj(src, out)
+        with tar.extractfile(member) as src:
+            _copy_to(src, dest)
 
 
 def fetch_matrix(name: str, dest_dir, download: bool = False, timeout: float = 60.0) -> Path:

@@ -2,9 +2,10 @@
 
 The envelope patterns are the structures of (I+A)^k, (I+|A|+|A^T|)^k A^T and
 (A^T A)^k A^T. Each column solves its least-squares problem once on the fixed
-pattern, through ``psai._build_columns``; postfiltration afterwards
-drops entries below max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column of a
-right-side M, where eps_k is that column's achieved residual norm.
+pattern, through ``psai._build_columns``, which runs the columns a block at a
+time; postfiltration afterwards drops entries below
+max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column of a right-side M, where
+eps_k is that column's achieved residual norm.
 """
 
 from __future__ import annotations
@@ -68,11 +69,15 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
     return SparseMatrix.from_scipy(out)
 
 
-def _static_column(k, A, a_one_norm, col_ptr, row_idx):
+def _static_column(k, A, col_ptr, row_idx):
     state = ColumnLeastSquares(A, k, row_idx[col_ptr[k] : col_ptr[k + 1]])
     return _column_result(
         state, k, loops_used=0, pre_drop_residual=state.residual_norm, met_accuracy=None
     )
+
+
+def _static_block(ks, A, a_one_norm, col_ptr, row_idx):
+    return [_static_column(k, A, col_ptr, row_idx) for k in ks]
 
 
 def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Preconditioner:
@@ -86,7 +91,7 @@ def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Pr
     empty = np.flatnonzero(pattern.column_nnz() == 0)
     if empty.size:
         raise ValueError(f"pattern column {empty[0]} is empty; every column must be non-empty")
-    return _build_columns(A, _static_column, (pattern.col_ptr, pattern.row_idx), None, threads)
+    return _build_columns(A, _static_block, (pattern.col_ptr, pattern.row_idx), None, threads)
 
 
 def _checked_floor(floor) -> float:

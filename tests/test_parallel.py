@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from saiprec._parallel import _MIN_PARALLEL_COLUMNS, _openblas_functions, map_columns
@@ -30,3 +32,21 @@ def test_in_process_map_holds_blas_at_one_thread_then_restores():
             set_threads(count)
     assert all(threads == [1] * len(getters) for threads in results)
     assert after == [2] * len(getters)
+
+
+def _block_and_pid(ks):
+    return list(ks), os.getpid()
+
+
+def test_pool_counts_columns_and_returns_blocks_in_order():
+    # 130 columns in blocks of 64: three blocks, fewer than the pool's
+    # column threshold, yet the pool runs them because the threshold counts
+    # columns
+    n = 130
+    assert n >= _MIN_PARALLEL_COLUMNS
+    pooled = map_columns(_block_and_pid, (), n, 2, 64)
+    in_process = map_columns(_block_and_pid, (), n, 1, 64)
+    expected = [list(range(0, 64)), list(range(64, 128)), list(range(128, n))]
+    assert [ks for ks, _ in pooled] == [ks for ks, _ in in_process] == expected
+    assert all(pid != os.getpid() for _, pid in pooled)
+    assert all(pid == os.getpid() for _, pid in in_process)

@@ -4,8 +4,11 @@ operations shared by the preconditioner builders and solvers.
 ``SparseMatrix`` holds zero-based CSC arrays with strictly increasing row
 indices per column, no explicitly stored zeros and only finite values; its
 products, transpose and densification are scipy's CSC kernels; the Krylov
-solvers multiply with a cached CSR copy (``to_csr``). Every
-constructor keeps a private read-only copy of its input arrays. Matrix Market
+solvers multiply with a cached CSR copy (``to_csr``), and the least-squares
+rank test reads the cached column 2-norms (``column_norms``). A pickled
+matrix is rebuilt without these caches. Every constructor keeps a private
+read-only copy of its input arrays, and rejects index arrays that are boolean
+or hold non-integral values instead of truncating them. Matrix Market
 files are one-based on disk; scipy's ``mmwrite`` writes them, and a loader of
 our own reads them, stricter than ``mmread`` about malformed entries.
 """
@@ -26,10 +29,18 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-def _as_index_array(indices) -> np.ndarray:
-    arr = np.array(indices, dtype=np.int64)
+def _as_index_array(indices, name: str) -> np.ndarray:
+    """``indices`` as a one-dimensional int64 copy. A float array passes only
+    when every value is integral; booleans and other dtypes are rejected."""
+    arr = np.asarray(indices)
+    if arr.dtype.kind == "f":
+        if not np.all(np.isfinite(arr)) or np.any(arr != np.trunc(arr)):
+            raise ValueError(f"{name} values must be integers")
+    elif arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} values must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
     if arr.ndim != 1:
-        raise ValueError("index set must be one-dimensional")
+        raise ValueError(f"{name} must be one-dimensional")
     return arr
 
 
@@ -42,11 +53,12 @@ class SparseMatrix:
     every value finite.
     """
 
-    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values", "_scipy_cache", "_csr_cache")
+    __slots__ = ("nrows", "ncols", "col_ptr", "row_idx", "values",
+                 "_scipy_cache", "_csr_cache", "_norm_cache")
 
     def __init__(self, nrows, ncols, col_ptr, row_idx, values):
-        col_ptr = np.array(col_ptr, dtype=np.int64)
-        row_idx = np.array(row_idx, dtype=np.int64)
+        col_ptr = _as_index_array(col_ptr, "col_ptr")
+        row_idx = _as_index_array(row_idx, "row_idx")
         values = np.array(values, dtype=np.float64)
         if nrows < 0 or ncols < 0:
             raise ValueError("negative dimension")
@@ -78,9 +90,10 @@ class SparseMatrix:
         self.values = values
         self._scipy_cache = None
         self._csr_cache = None
+        self._norm_cache = None
 
     def __reduce__(self):
-        # rebuilt through the constructor: revalidates, drops the scipy caches
+        # rebuilt through the constructor: revalidates, drops the caches
         return (SparseMatrix, (self.nrows, self.ncols, self.col_ptr,
                                self.row_idx, self.values))
 
@@ -90,8 +103,8 @@ class SparseMatrix:
     @classmethod
     def from_coo(cls, nrows, ncols, rows, cols, values) -> "SparseMatrix":
         """Build from coordinate triplets; duplicates are summed, zeros purged."""
-        rows = _as_index_array(rows)
-        cols = _as_index_array(cols)
+        rows = _as_index_array(rows, "rows")
+        cols = _as_index_array(cols, "cols")
         values = np.asarray(values, dtype=np.float64)
         if not (rows.shape == cols.shape == values.shape):
             raise ValueError("triplet arrays must be aligned")
@@ -163,6 +176,27 @@ class SparseMatrix:
             self._csr_cache = self.to_scipy().tocsr()
         return self._csr_cache
 
+    def column_norms(self) -> np.ndarray:
+        """2-norm of each column (cached, read-only). Each column's squares
+        are summed sequentially in row order, as a reduction over the rows of
+        a dense multi-column block sums them. A column whose squares overflow
+        (an entry above about 2**511) is retaken from the column scaled by an
+        exact power of two, again summed sequentially."""
+        if self._norm_cache is None:
+            sums = np.zeros(self.ncols)
+            cols = np.repeat(np.arange(self.ncols), np.diff(self.col_ptr))
+            with np.errstate(over="ignore"):
+                np.add.at(sums, cols, self.values * self.values)
+            norms = np.sqrt(sums)
+            for j in np.flatnonzero(np.isinf(norms)):
+                column = self.values[self.col_ptr[j]:self.col_ptr[j + 1]]
+                _, exponent = np.frexp(np.max(np.abs(column)))
+                scaled = np.ldexp(column, -exponent)
+                norms[j] = np.ldexp(np.sqrt(np.cumsum(scaled * scaled)[-1]), exponent)
+            norms.setflags(write=False)
+            self._norm_cache = norms
+        return self._norm_cache
+
     def equals(self, other) -> bool:
         return (
             self.shape == other.shape
@@ -200,7 +234,7 @@ class SparseMatrix:
 def _column_entries(A: SparseMatrix, cols):
     """Row indices and values of the (non-empty) column list ``cols`` of A,
     concatenated in that order, and the number of entries of each column."""
-    columns = [A.column(j) for j in cols]
+    columns = [A.column(j) for j in cols.tolist()]
     rows = np.concatenate([idx for idx, _ in columns])
     vals = np.concatenate([v for _, v in columns])
     return rows, vals, np.array([idx.size for idx, _ in columns])
@@ -209,8 +243,8 @@ def _column_entries(A: SparseMatrix, cols):
 def _index_set(obj, bound: int, name: str = "pattern index") -> np.ndarray:
     """``obj`` as a sorted, duplicate-free, read-only int64 copy; every index
     must lie in ``[0, bound)``."""
-    arr = _as_index_array(obj)
-    if np.any(np.diff(arr) <= 0):
+    arr = _as_index_array(obj, name)
+    if not (arr[1:] > arr[:-1]).all():
         arr = np.unique(arr)
     if arr.size and (arr[0] < 0 or arr[-1] >= bound):
         raise ValueError(f"{name} out of range [0, {bound})")
@@ -233,9 +267,14 @@ def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
 def _gather(A: SparseMatrix, cols: np.ndarray, extra_rows: np.ndarray):
     """Unchecked :func:`gather_submatrix` for sorted in-range ``cols``."""
     idx, vals, counts = _column_entries(A, cols)
-    rows, local = np.unique(np.concatenate([idx, extra_rows]), return_inverse=True)
+    rows = np.concatenate([idx, extra_rows])
+    rows.sort()
+    first = np.empty(rows.size, dtype=bool)  # first of each run of equal rows
+    first[:1] = True
+    np.not_equal(rows[1:], rows[:-1], out=first[1:])
+    rows = rows[first]
     block = np.zeros((rows.size, cols.size))
-    block[local[: idx.size], np.repeat(np.arange(cols.size), counts)] = vals
+    block[np.searchsorted(rows, idx), np.repeat(np.arange(cols.size), counts)] = vals
     return block, rows
 
 

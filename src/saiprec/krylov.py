@@ -78,7 +78,9 @@ class _Operators:
     preconditioned operator ``op`` and its right-hand side ``rhs`` (M b on
     the left side), and the report.
     ``trivial`` names an exit at x = 0 and is empty otherwise: b = 0 has
-    converged, and a left M that maps b to 0 is a breakdown. ``accept`` is
+    converged, and a left M that maps b to 0 is a breakdown. A nonzero b whose
+    2-norm underflows to 0 is rejected, since no relative residual can be
+    measured against it. ``accept`` is
     both solvers' convergence test; ``done`` completes the report.
     """
 
@@ -112,6 +114,9 @@ class _Operators:
         self.bnorm = float(np.linalg.norm(b))
         self.trivial = ""
         if self.bnorm == 0.0:
+            if b.any():
+                raise ValueError("the 2-norm of the right-hand side underflows to 0; "
+                                 "rescale b")
             self.report.converged = True
             self.report.final_rel_residual = 0.0
             self.trivial = "converged"

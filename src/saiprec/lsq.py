@@ -7,6 +7,20 @@ The block is reduced to the rows R that actually carry information: the union
 of the row supports of the columns in S. Row k is force-included in R so that
 the reduced residual equals the full-height residual exactly (rows outside R
 have a zero block row and a zero right-hand side).
+
+The rank test compares each pivot with n * eps times its column's 2-norm, read
+from ``A.column_norms()``, which is computed once per matrix: A stores no
+zeros and R covers the rows of every column in S, so a block column's norm is
+the norm of A's column.
+
+A shrink refactors the sliced block when :attr:`rank_flag` is read, even when
+the block was not flagged. In exact arithmetic that flag could be kept:
+removing columns cannot lower a kept column's pivot (its distance to the span
+of fewer preceding columns can only grow), the threshold n * eps * ||a_j||
+does not change, and the removed rows are zero in the kept columns. In
+floating point a pivot within rounding of the threshold can fall below it
+after the shrink, so keeping the flag would make it depend on the pattern's
+history.
 """
 
 from __future__ import annotations
@@ -21,18 +35,6 @@ from .core import SparseMatrix, _gather, _index_set
 _EPS = np.finfo(np.float64).eps
 
 
-def _column_norms(block: np.ndarray) -> np.ndarray:
-    """2-norm of each column of ``block``. A norm whose squares overflow (an
-    entry above about 2**511) is taken again from the column scaled by an
-    exact power of two, so it is the finite one that scale would give."""
-    with np.errstate(over="ignore"):
-        norms = np.sqrt(np.add.reduce(block * block, axis=0))  # np.linalg.norm's sum
-    for j in np.flatnonzero(np.isinf(norms)):
-        _, exponent = np.frexp(np.max(np.abs(block[:, j])))
-        norms[j] = np.ldexp(np.linalg.norm(np.ldexp(block[:, j], -exponent)), exponent)
-    return norms
-
-
 class ColumnLeastSquares:
     """State of one column's LS problem: pattern, gathered block, solution.
 
@@ -44,9 +46,10 @@ class ColumnLeastSquares:
 
     Rank deficiency (a pivot at or below ``n * eps * column_norm``, or a
     column with no pivot row left) switches solves to a minimum-norm fallback
-    and sets :attr:`rank_flag`; the pivots are read from the same factor, and
-    after a shrink the flag is computed from a ``dgeqrf`` of the new block
-    when it is first read. A solution that is not finite (an entry of A so
+    and sets :attr:`rank_flag`; the pivots are read from the same factor and
+    the column norms from ``A.column_norms()``. After a shrink the flag is
+    computed from a ``dgeqrf`` of the new block when it is first read (see
+    the module docstring). A solution that is not finite (an entry of A so
     small that its inverse overflows) raises ``ValueError`` naming column k.
 
     The builders hand ``(support, solution)`` on as the column of M; a
@@ -92,8 +95,10 @@ class ColumnLeastSquares:
         new = _index_set(new_indices, self._A.ncols)
         if new.size == 0:
             return self
-        support = np.union1d(self._support, new)
-        if support.size != self._support.size + new.size:
+        # both are strictly increasing, so the merge repeats an index iff they meet
+        support = np.concatenate([self._support, new])
+        support.sort()
+        if not (support[1:] > support[:-1]).all():
             raise ValueError("augment indices must be disjoint from the pattern")
         self._set_pattern(support, *_gather(self._A, support, np.array([self.k])))
         self._solve()
@@ -108,11 +113,14 @@ class ColumnLeastSquares:
         removed = _index_set(removed, self._A.ncols)
         if removed.size == 0:
             return self
-        keep = ~np.isin(self._support, removed)
-        if keep.size - np.count_nonzero(keep) != removed.size:
+        # both are sorted: each removed index must sit where searchsorted puts it
+        at = np.searchsorted(self._support, removed)
+        if not np.array_equal(self._support.take(at, mode="clip"), removed):
             raise ValueError("can only remove indices present in the pattern")
-        if not keep.any():
+        if removed.size == self._support.size:
             raise ValueError("cannot remove the entire pattern")
+        keep = np.ones(self._support.size, dtype=bool)
+        keep[at] = False
         # A stores no zeros, so the rows nonzero in the kept columns (plus row
         # k) are exactly the rows a regather of A(:, S) would find
         block = self._block[:, keep]
@@ -131,10 +139,10 @@ class ColumnLeastSquares:
         self._rank_flag = None
 
     def _deficient(self, R: np.ndarray) -> bool:
-        pivots = np.abs(np.diagonal(R))
-        norms = _column_norms(self._block)
+        pivots = np.abs(R.diagonal())
+        norms = self._A.column_norms()[self._support]
         # with more columns than rows the trailing columns have no pivot row
-        return pivots.size < norms.size or bool(np.any(pivots <= self._A.nrows * _EPS * norms))
+        return pivots.size < norms.size or bool((pivots <= self._A.nrows * _EPS * norms).any())
 
     def _solve(self):
         qr, tau, _, _ = dgeqrf(self._block)

@@ -1,0 +1,63 @@
+"""tools/bench_pairs.py: the per-metric statistics and the claim rule it
+writes for alternated parent/change runs."""
+
+import importlib.util
+
+import pytest
+
+from conftest import REPO_ROOT
+
+spec = importlib.util.spec_from_file_location("bench_pairs", REPO_ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+BETTER = {"build_s": "lower", "w.build_s": "lower", "w.krylov.apply_m_gflops": "higher"}
+
+
+def runs(before, after, name="w.build_s"):
+    def side(value):
+        return {"result": {"correct": True, "attempted": 2, "failed": 0,
+                           "metrics": {name: {"value": value, "unit": "s"}}}, "exit_code": 0, "wall_s": 1.0}
+    return [{"pair": i, "parent": side(b), "change": side(a)}
+            for i, (b, a) in enumerate(zip(before, after))]
+
+
+def test_claim_holds_when_nine_tenths_won_and_gap_beats_parent_iqr():
+    before = [4.0, 4.2, 4.4, 4.1, 4.3, 4.0, 4.2, 4.4, 4.1, 4.3]
+    after = [3.0] * 9 + [4.5]
+    got = bench_pairs.summarize(runs(before, after), BETTER)["w.build_s"]
+    assert (got["change_wins"], got["parent_wins"]) == (9, 1)
+    assert got["median_before"] == pytest.approx(4.2) and got["median_after"] == 3.0
+    assert got["iqr_before"] == pytest.approx(0.2)
+    assert got["claim_holds"] and got["gain_exceeds_parent_iqr"]
+
+
+def test_claim_fails_on_too_few_wins_or_a_gap_inside_the_iqr():
+    before = [4.0, 5.0, 4.0, 5.0, 4.0, 5.0, 4.0, 5.0, 4.0, 5.0]
+    after = [3.0] * 8 + [6.0, 6.0]  # 8 of 10 won
+    assert not bench_pairs.summarize(runs(before, after), BETTER)["w.build_s"]["claim_holds"]
+    after = [x - 0.1 for x in before]  # every pair won, gap 0.1 inside an IQR of 1.0
+    got = bench_pairs.summarize(runs(before, after), BETTER)["w.build_s"]
+    assert got["change_wins"] == 10 and not got["claim_holds"]
+
+
+def test_higher_is_better_metrics_and_ties():
+    name = "w.krylov.apply_m_gflops"
+    got = bench_pairs.summarize(runs([1.0, 1.0, 2.0], [2.0, 1.0, 1.0], name), BETTER)[name]
+    assert (got["change_wins"], got["parent_wins"]) == (1, 1)
+
+
+def test_directions_cover_workload_prefixes():
+    better = bench_pairs.better_direction(
+        {"workloads": [{"name": "w"}], "end_to_end": [{"name": "build_s", "better": "lower"}],
+         "per_layer": [{"name": "krylov.apply_m_gflops", "better": "higher"}]})
+    assert better == {"build_s": "lower", "krylov.apply_m_gflops": "higher",
+                      "w.build_s": "lower", "w.krylov.apply_m_gflops": "higher"}
+
+
+def test_a_run_without_result_counts_as_a_failed_operation():
+    pairs = runs([1.0], [1.0])
+    pairs[0]["change"]["result"] = None
+    assert bench_pairs.operations(pairs)["change"] == {"attempted": 1, "failed": 1,
+                                                       "runs_not_correct": 1}
+    assert bench_pairs.summarize(pairs, BETTER) == {}

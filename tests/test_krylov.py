@@ -266,6 +266,16 @@ class TestRightHandSideValidation:
         with pytest.raises(ValueError, match="non-finite"):
             fn(SparseMatrix.identity(3), b, params=SolveParams(method=method, side="none"))
 
+    @pytest.mark.parametrize("method", ["bicgstab", "gmres"])
+    def test_rejects_rhs_whose_norm_underflows(self, method):
+        # every square underflows, so ||b||_2 is 0 although b is not
+        b = np.ldexp(np.array([1.0, 2.0, 3.0]), -600)
+        assert np.linalg.norm(b) == 0.0 and b.any()
+        for side in ("none", "right"):
+            M = None if side == "none" else SparseMatrix.identity(3)
+            with pytest.raises(ValueError, match="underflows"):
+                solve(SparseMatrix.identity(3), b, M, SolveParams(method=method, side=side))
+
     @pytest.mark.parametrize("fn, method", [(bicgstab, "bicgstab"), (gmres_restart, "gmres")])
     def test_rejects_wrong_length_rhs(self, fn, method):
         with pytest.raises(ValueError, match=r"shape \(3,\)"):

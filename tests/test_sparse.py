@@ -15,6 +15,7 @@ from saiprec.core import (
     load_matrix_market,
     save_matrix_market,
 )
+from saiprec.lsq import ColumnLeastSquares
 
 
 def write_mm(tmp_path, text, name="m.mtx"):
@@ -316,6 +317,42 @@ class TestInvariants:
     def test_vector_purges_zeros(self):
         B = assemble_columns([(np.array([0, 2]), np.array([0.0, 5.0]))], 4)
         assert B.nnz == 1 and B.row_idx[0] == 2
+
+
+class TestIntegralIndices:
+    """Index arrays are never truncated: a float array passes only when every
+    value is integral, and booleans are rejected."""
+
+    def test_gather_rejects_fractional_column(self):
+        with pytest.raises(ValueError, match="pattern index values must be integers"):
+            gather_submatrix(SparseMatrix.identity(3), [1.7])
+
+    def test_column_least_squares_rejects_fractional_pattern(self):
+        with pytest.raises(ValueError, match="pattern index values must be integers"):
+            ColumnLeastSquares(SparseMatrix.identity(3), 0, [0.9, 2.2])
+
+    def test_from_coo_rejects_fractional_row(self):
+        with pytest.raises(ValueError, match="rows values must be integers"):
+            SparseMatrix.from_coo(3, 3, [0.5, 1], [0, 1], [1.0, 2.0])
+
+    def test_constructor_rejects_fractional_row_index(self):
+        with pytest.raises(ValueError, match="row_idx values must be integers"):
+            SparseMatrix(3, 3, [0, 1, 1, 2], [0.2, 2.9], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [True, False]])
+    def test_rejects_non_finite_and_boolean(self, bad):
+        with pytest.raises(ValueError, match="values must be integers"):
+            gather_submatrix(SparseMatrix.identity(3), bad)
+        with pytest.raises(ValueError, match="cols values must be integers"):
+            SparseMatrix.from_coo(3, 3, [0] * len(bad), bad, [1.0] * len(bad))
+
+    def test_integral_floats_and_other_integer_dtypes_pass(self):
+        A = SparseMatrix(3, 3, np.array([0, 1, 1, 2], dtype=np.uint8),
+                         np.array([0.0, 2.0]), [1.0, 2.0])
+        assert A.row_idx.dtype == np.int64 and A.row_idx.tolist() == [0, 2]
+        block, rows = gather_submatrix(A, np.array([2.0, 0.0]))
+        assert rows.tolist() == [0, 2] and np.array_equal(block, np.diag([1.0, 2.0]))
+        assert gather_submatrix(A, np.array([0], dtype=np.int32))[1].tolist() == [0]
 
 
 class TestNonFinite:

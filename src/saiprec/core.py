@@ -5,7 +5,9 @@ operations shared by the preconditioner builders and solvers.
 indices per column, no explicitly stored zeros and only finite values; its
 products, transpose and densification are scipy's CSC kernels; the Krylov
 solvers multiply with a cached CSR copy (``to_csr``), and the least-squares
-rank test reads the cached column 2-norms (``column_norms``). A pickled
+rank test reads the cached column 2-norms (``column_norms``). ``column``
+reads one column, or a whole index array at once by arithmetic on
+``col_ptr``, so that a gather of A(R, J) is one call. A pickled
 matrix is rebuilt without these caches. Every constructor keeps a private
 read-only copy of its input arrays, and rejects index arrays that are boolean
 or hold non-integral values instead of truncating them. Matrix Market
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import operator
 import warnings
 from pathlib import Path
 
@@ -42,6 +45,17 @@ def _as_index_array(indices, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return arr
+
+
+def _as_index(k, name: str) -> int:
+    """``k`` as a Python int; a boolean, float or other non-integer raises
+    ``TypeError`` instead of being truncated."""
+    if isinstance(k, bool):  # operator.index would take it as 0 or 1
+        raise TypeError(f"{name} must be an integer, got {k!r}")
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {k!r}") from None
 
 
 class SparseMatrix:
@@ -148,9 +162,38 @@ class SparseMatrix:
         return (self.nrows, self.ncols)
 
     def column(self, k):
-        """Row indices and values of column ``k`` (read-only views)."""
+        """Row indices and values of column ``k`` (read-only views).
+
+        Given a one-dimensional integer array of column indices instead, the
+        row indices and values of those columns concatenated in the array's
+        order (new arrays; indices may repeat and come in any order), read
+        by one ``repeat``/``arange`` over ``col_ptr``. An index outside
+        ``[0, ncols)`` raises ``IndexError``; a boolean or non-integral one
+        raises ``TypeError``.
+        """
+        if np.ndim(k):
+            return self._columns(np.asarray(k))
+        k = _as_index(k, "column index")
+        if not 0 <= k < self.ncols:
+            raise IndexError(f"column index {k} out of range for {self.ncols} columns")
         lo, hi = self.col_ptr[k], self.col_ptr[k + 1]
         return self.row_idx[lo:hi], self.values[lo:hi]
+
+    def _columns(self, cols: np.ndarray):
+        if cols.dtype.kind not in "iu" or cols.ndim != 1:
+            raise TypeError("column indices must be a one-dimensional integer array, "
+                            f"got dtype {cols.dtype} with {cols.ndim} dimensions")
+        if cols.size == 0:
+            return self.row_idx[:0].copy(), self.values[:0].copy()
+        if cols.min() < 0 or cols.max() >= self.ncols:
+            bad = cols[(cols < 0) | (cols >= self.ncols)][0]
+            raise IndexError(f"column index {bad} out of range for {self.ncols} columns")
+        starts = self.col_ptr[cols]
+        counts = self.col_ptr[cols + 1] - starts
+        ends = counts.cumsum()
+        # entry i of the result is entry i - (ends - counts)[j] of column j
+        at = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        return self.row_idx[at], self.values[at]
 
     def column_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
@@ -231,15 +274,6 @@ class SparseMatrix:
         return SparseMatrix.from_scipy(self.to_scipy().T)
 
 
-def _column_entries(A: SparseMatrix, cols):
-    """Row indices and values of the (non-empty) column list ``cols`` of A,
-    concatenated in that order, and the number of entries of each column."""
-    columns = [A.column(j) for j in cols.tolist()]
-    rows = np.concatenate([idx for idx, _ in columns])
-    vals = np.concatenate([v for _, v in columns])
-    return rows, vals, np.array([idx.size for idx, _ in columns])
-
-
 def _index_set(obj, bound: int, name: str = "pattern index") -> np.ndarray:
     """``obj`` as a sorted, duplicate-free, read-only int64 copy; every index
     must lie in ``[0, bound)``."""
@@ -266,7 +300,8 @@ def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
 
 def _gather(A: SparseMatrix, cols: np.ndarray, extra_rows: np.ndarray):
     """Unchecked :func:`gather_submatrix` for sorted in-range ``cols``."""
-    idx, vals, counts = _column_entries(A, cols)
+    idx, vals = A.column(cols)
+    counts = A.col_ptr[cols + 1] - A.col_ptr[cols]
     rows = np.concatenate([idx, extra_rows])
     rows.sort()
     first = np.empty(rows.size, dtype=bool)  # first of each run of equal rows

@@ -30,7 +30,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .core import SparseMatrix, _gather, _index_set
+from .core import SparseMatrix, _as_index, _gather, _index_set
 
 _EPS = np.finfo(np.float64).eps
 
@@ -59,12 +59,13 @@ class ColumnLeastSquares:
     def __init__(self, A: SparseMatrix, k: int, pattern):
         if A.nrows != A.ncols:
             raise ValueError("column least squares expects a square matrix")
+        k = _as_index(k, "column index")
         if not (0 <= k < A.ncols):
             raise ValueError("column index out of range")
         support = _index_set(pattern, A.ncols)
         if support.size == 0:
             raise ValueError("initial pattern must be non-empty")
-        self._A, self.k = A, int(k)
+        self._A, self.k = A, k
         self._set_pattern(support, *_gather(self._A, support, np.array([self.k])))
         self._solve()
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._parallel import map_columns
-from .core import SparseMatrix, _column_entries, assemble_columns
+from .core import SparseMatrix, assemble_columns
 from .lsq import ColumnLeastSquares
 
 DROP_MODES = ("none", "adaptive", "fixed")
@@ -230,7 +230,7 @@ class _GrowingColumn:
         if new.size == 0:
             # no new index: stalled if A maps the reached set into itself, as
             # no index can then ever be new again; an idle loop otherwise
-            rows = _column_entries(self.A, np.flatnonzero(self.reached))[0]
+            rows = self.A.column(np.flatnonzero(self.reached))[0]
             if self.reached[rows].all():
                 self.stalled = True
             else:

@@ -61,3 +61,14 @@ def test_a_run_without_result_counts_as_a_failed_operation():
     assert bench_pairs.operations(pairs)["change"] == {"attempted": 1, "failed": 1,
                                                        "runs_not_correct": 1}
     assert bench_pairs.summarize(pairs, BETTER) == {}
+
+
+def test_metric_on_one_side_only_is_named_missing():
+    pairs = runs([4.0, 4.1], [3.0, 3.1])
+    pairs[1]["parent"]["result"]["metrics"]["w.core.column_calls"] = {"value": 9.0, "unit": "count"}
+    pairs[0]["change"]["result"]["metrics"]["w.lsq.total_calls"] = {"value": 5.0, "unit": "count"}
+    pairs[1]["parent"]["result"]["metrics"]["w.psai.self_s"] = {"value": None, "unit": "s"}
+    assert bench_pairs.missing(pairs) == {"parent": ["w.lsq.total_calls"],
+                                          "change": ["w.core.column_calls"]}
+    assert sorted(bench_pairs.summarize(pairs, BETTER)) == ["w.build_s"]
+    assert bench_pairs.missing(runs([1.0], [1.0])) == {"parent": [], "change": []}

@@ -253,6 +253,17 @@ class TestIndexArguments:
         with pytest.raises(ValueError, match="out of range"):
             gather_submatrix(A, [0, bad])
 
+    @pytest.mark.parametrize("k", [1.7, 1.0, True, np.float64(1.0)],
+                             ids=["1.7", "1.0", "bool", "float64"])
+    def test_non_integral_column_index_rejected(self, k):
+        with pytest.raises(TypeError, match="column index must be an integer"):
+            ColumnLeastSquares(SparseMatrix.identity(3), k, [0, 1])
+
+    def test_numpy_integer_column_index_is_taken_as_int(self):
+        state = ColumnLeastSquares(SparseMatrix.identity(3), np.int32(1), [0, 1])
+        assert type(state.k) is int and state.k == 1
+        assert state.solution.tolist() == [0.0, 1.0]
+
     def test_caller_arrays_stay_writable_and_detached(self):
         pattern, new, removed = np.array([0, 2]), np.array([3]), np.array([2])
         state = ColumnLeastSquares(SparseMatrix.identity(4), 0, pattern)

@@ -269,6 +269,35 @@ class TestGatherSubmatrix:
             gather_submatrix(SparseMatrix.identity(3), [0], extra_rows=extra)
 
 
+class TestColumnIndex:
+    """``column`` checks its index, scalar or array, instead of wrapping a
+    negative one or leaving numpy to fail."""
+
+    A = SparseMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]])
+
+    @pytest.mark.parametrize("k", [-1, 3, np.int64(-4), [0, 3], np.array([2, -1])],
+                             ids=["-1", "3", "int64-4", "list", "array"])
+    def test_out_of_range_names_index_and_count(self, k):
+        bad = np.atleast_1d(k)[-1]
+        with pytest.raises(IndexError, match=f"column index {bad} out of range for 3 columns"):
+            self.A.column(k)
+
+    @pytest.mark.parametrize("k", [True, np.True_, 1.7, np.float64(1.0), np.array([True]),
+                                   np.array([1.0]), np.array([[1]])],
+                             ids=["bool", "numpy-bool", "1.7", "float64", "bool-array",
+                                  "float-array", "2-d"])
+    def test_boolean_and_non_integral_rejected(self, k):
+        with pytest.raises(TypeError, match="integer"):
+            self.A.column(k)
+
+    def test_integer_scalars_and_arrays(self):
+        assert self.A.column(np.uint8(2))[0].tolist() == [0, 2]
+        idx, vals = self.A.column([2, 0, 2])
+        assert idx.tolist() == [0, 2, 0, 2, 0, 2] and vals.tolist() == [2.0, 5.0, 1.0, 4.0, 2.0, 5.0]
+        idx, vals = self.A.column(np.array([], dtype=np.int32))
+        assert idx.dtype == np.int64 and vals.dtype == np.float64 and idx.size == vals.size == 0
+
+
 class TestTransposeAssemble:
     def test_transpose_involution(self):
         rng = np.random.default_rng(2)

@@ -10,7 +10,9 @@ each side's values, median and quartiles (numpy's linear percentiles 25 and
 75), the pairs each side won (ties count for neither; "won" follows the
 metric's ``better`` in BENCHMARK.json) and whether the claim rule holds: the
 change wins at least nine tenths of the pairs and its median is better than
-the parent's by more than the parent's interquartile range. From the
+the parent's by more than the parent's interquartile range. A metric with a
+value on one side of a pair and none on the other is listed under
+``missing`` by the side that lacks it, and printed after the pair. From the
 repository root:
 
     python3 tools/bench_pairs.py <parent-tree> <change-tree> --label leanls \\
@@ -120,6 +122,21 @@ def summarize(runs, better: dict) -> dict:
     return summary
 
 
+def missing(runs) -> dict:
+    """Per side, the metrics that have a value on the other side of some
+    pair and none on this one; :func:`summarize` skips such pairs, so a
+    metric that vanishes from one side's result line is named here."""
+    ok = [r for r in runs if r["parent"]["result"] and r["change"]["result"]]
+    out = {"parent": set(), "change": set()}
+    for r in ok:
+        present = {side: {name for name in r[side]["result"]["metrics"]
+                          if value(r[side], name) is not None}
+                   for side in out}
+        out["parent"] |= present["change"] - present["parent"]
+        out["change"] |= present["parent"] - present["change"]
+    return {side: sorted(names) for side, names in out.items()}
+
+
 def operations(runs) -> dict:
     """Operations attempted and failed over all runs of each side; a run
     without a result line counts as one failed operation."""
@@ -147,7 +164,7 @@ def main(argv=None) -> int:
     record = json.loads(out.read_text()) if out.exists() else {}
     record.setdefault("sets", {})
     entry = {"command": ["python3", "perfbench/run.py", *args.run_args],
-             "host": host(), "runs": [], "operations": {}, "summary": {}}
+             "host": host(), "runs": [], "operations": {}, "missing": {}, "summary": {}}
     record["sets"][args.name] = entry
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -156,13 +173,15 @@ def main(argv=None) -> int:
             run[side] = run_once(args.parent if side == "parent" else args.change, args.run_args)
         entry["runs"].append(run)
         entry["operations"] = operations(entry["runs"])
+        entry["missing"] = missing(entry["runs"])
         entry["summary"] = summarize(entry["runs"], better_direction(spec))
         entry["host"]["loadavg_at_end"] = os.getloadavg()
         out.write_text(json.dumps(record, indent=1) + "\n")
         failed = [s for s in order if run[s]["result"] is None or run[s]["exit_code"]]
+        absent = [f"{side} lacks {', '.join(names)}" for side, names in entry["missing"].items() if names]
         print(f"pair {i}: parent {run['parent']['wall_s']:.0f} s, change "
-              f"{run['change']['wall_s']:.0f} s" + (f"; failed: {failed}" if failed else ""),
-              flush=True)
+              f"{run['change']['wall_s']:.0f} s" + (f"; failed: {failed}" if failed else "")
+              + "".join(f"; {line}" for line in absent), flush=True)
     return 0
 
 

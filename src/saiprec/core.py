@@ -295,22 +295,49 @@ def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):
     cols = _index_set(pattern, A.ncols)
     if cols.size == 0:
         raise ValueError("empty column pattern")
-    return _gather(A, cols, _index_set(extra_rows, A.nrows, "extra row index"))
+    extra = _index_set(extra_rows, A.nrows, "extra row index")
+    return _gather_blocks(A, [cols], extra, np.zeros(extra.size, dtype=np.int64))[0]
 
 
-def _gather(A: SparseMatrix, cols: np.ndarray, extra_rows: np.ndarray):
-    """Unchecked :func:`gather_submatrix` for sorted in-range ``cols``."""
+def _gather_blocks(A: SparseMatrix, sets, ks, slots=None):
+    """Unchecked :func:`gather_submatrix` of many column sets at once: a
+    list of ``(block, rows)``, one per set, where row ``ks[i]`` joins the
+    rows of set ``slots[i]`` (of set i when ``slots`` is None).
+
+    Each set must be strictly increasing and in range. The columns of every
+    set are read with one ``A.column`` call; the rows of all blocks come
+    from one sort of (set, row) keys; the entries are scattered into one
+    flat buffer, and each block is a C-ordered view of its piece of it.
+    """
+    sizes = np.fromiter((s.size for s in sets), dtype=np.int64, count=len(sets))
+    cols = np.concatenate(sets).astype(np.int64, copy=False)
     idx, vals = A.column(cols)
     counts = A.col_ptr[cols + 1] - A.col_ptr[cols]
-    rows = np.concatenate([idx, extra_rows])
-    rows.sort()
-    first = np.empty(rows.size, dtype=bool)  # first of each run of equal rows
+    n = max(A.nrows, 1)
+    col_start = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=col_start[1:])
+    col_set = np.repeat(np.arange(len(sets)), sizes)
+    entry_set = np.repeat(col_set, counts)
+    entry_keys = entry_set * n + idx
+    extra_set = np.arange(len(sets)) if slots is None else np.asarray(slots, dtype=np.int64)
+    keys = np.concatenate([entry_keys, extra_set * n + ks])
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)  # first of each run of equal keys
     first[:1] = True
-    np.not_equal(rows[1:], rows[:-1], out=first[1:])
-    rows = rows[first]
-    block = np.zeros((rows.size, cols.size))
-    block[np.searchsorted(rows, idx), np.repeat(np.arange(cols.size), counts)] = vals
-    return block, rows
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
+    row_start = np.searchsorted(keys, np.arange(len(sets) + 1) * n)
+    nrows = np.diff(row_start)
+    rows = keys - np.repeat(np.arange(len(sets)) * n, nrows)
+    block_start = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum(nrows * sizes, out=block_start[1:])
+    # entry (row r, column j) of block s sits at block_start[s] + r * sizes[s] + j
+    entry_col = np.repeat(np.arange(cols.size) - col_start[col_set], counts)
+    local_row = np.searchsorted(keys, entry_keys) - row_start[entry_set]
+    flat = np.zeros(block_start[-1])
+    flat[block_start[entry_set] + local_row * sizes[entry_set] + entry_col] = vals
+    return [(flat[block_start[s]:block_start[s + 1]].reshape(nrows[s], sizes[s]),
+             rows[row_start[s]:row_start[s + 1]]) for s in range(len(sets))]
 
 
 def assemble_columns(columns, nrows: int) -> SparseMatrix:

@@ -30,7 +30,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .core import SparseMatrix, _as_index, _gather, _index_set
+from .core import SparseMatrix, _as_index, _gather_blocks, _index_set
 
 _EPS = np.finfo(np.float64).eps
 
@@ -38,9 +38,13 @@ _EPS = np.finfo(np.float64).eps
 class ColumnLeastSquares:
     """State of one column's LS problem: pattern, gathered block, solution.
 
-    Construction and :meth:`augment` gather the block A(R, S) afresh and solve
-    with one QR of it (``dgeqrf``, Q^T e_k by ``dormqr``, R x = Q^T e_k by
-    ``dtrtrs``). :meth:`shrink` slices the held block and neither factors
+    Construction and :meth:`augment` take the block A(R, S) of the new
+    pattern and solve with one QR of it (``dgeqrf``, Q^T e_k by ``dormqr``,
+    R x = Q^T e_k by ``dtrtrs``). The block is either gathered afresh from A
+    or handed in as ``gathered``: the new support (sorted, in range) and the
+    ``(block, rows)`` that ``core._gather_blocks`` returns for it and row k.
+    The builders gather the blocks of many columns with one such call; a
+    handed-in block is not checked against ``pattern`` or ``new_indices``. :meth:`shrink` slices the held block and neither factors
     nor re-solves: the kept coefficients keep their values (the builders'
     dropped-column semantics).
 
@@ -56,17 +60,19 @@ class ColumnLeastSquares:
     coefficient may come out exactly zero, and assembly purges it.
     """
 
-    def __init__(self, A: SparseMatrix, k: int, pattern):
+    def __init__(self, A: SparseMatrix, k: int, pattern, gathered=None):
         if A.nrows != A.ncols:
             raise ValueError("column least squares expects a square matrix")
         k = _as_index(k, "column index")
         if not (0 <= k < A.ncols):
             raise ValueError("column index out of range")
-        support = _index_set(pattern, A.ncols)
-        if support.size == 0:
-            raise ValueError("initial pattern must be non-empty")
         self._A, self.k = A, k
-        self._set_pattern(support, *_gather(self._A, support, np.array([self.k])))
+        if gathered is None:
+            support = _index_set(pattern, A.ncols)
+            if support.size == 0:
+                raise ValueError("initial pattern must be non-empty")
+            gathered = self._gather(support)
+        self._set_pattern(*gathered)
         self._solve()
 
     # ------------------------------------------------------------------
@@ -91,17 +97,19 @@ class ColumnLeastSquares:
         return self._rank_flag
 
     # ------------------------------------------------------------------
-    def augment(self, new_indices) -> "ColumnLeastSquares":
+    def augment(self, new_indices, gathered=None) -> "ColumnLeastSquares":
         """Grow the pattern by ``new_indices`` (disjoint from it) and re-solve."""
-        new = _index_set(new_indices, self._A.ncols)
-        if new.size == 0:
-            return self
-        # both are strictly increasing, so the merge repeats an index iff they meet
-        support = np.concatenate([self._support, new])
-        support.sort()
-        if not (support[1:] > support[:-1]).all():
-            raise ValueError("augment indices must be disjoint from the pattern")
-        self._set_pattern(support, *_gather(self._A, support, np.array([self.k])))
+        if gathered is None:
+            new = _index_set(new_indices, self._A.ncols)
+            if new.size == 0:
+                return self
+            # both are strictly increasing, so the merge repeats an index iff they meet
+            support = np.concatenate([self._support, new])
+            support.sort()
+            if not (support[1:] > support[:-1]).all():
+                raise ValueError("augment indices must be disjoint from the pattern")
+            gathered = self._gather(support)
+        self._set_pattern(*gathered)
         self._solve()
         return self
 
@@ -132,6 +140,9 @@ class ColumnLeastSquares:
         return self
 
     # ------------------------------------------------------------------
+    def _gather(self, support: np.ndarray):
+        return (support, *_gather_blocks(self._A, [support], [self.k])[0])
+
     def _set_pattern(self, support: np.ndarray, block: np.ndarray, rows: np.ndarray):
         self._support, self._block, self._rows = support, block, rows
         support.setflags(write=False)

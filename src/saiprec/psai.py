@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._parallel import map_columns
-from .core import SparseMatrix, assemble_columns
+from .core import SparseMatrix, _as_index, _gather_blocks, assemble_columns
 from .lsq import ColumnLeastSquares
 
 DROP_MODES = ("none", "adaptive", "fixed")
@@ -188,17 +188,18 @@ def _power_step(A: SparseMatrix, idx: np.ndarray, vals: np.ndarray):
 
 class _GrowingColumn:
     """Column k in the growth loop: its least-squares state, its power vector
-    (support ``idx``, values ``vals``), the indices reached so far (as a
-    length-n mask) and the record fields gathered on the way. Given
-    ``a_one_norm``, every solve is followed by a drop step that never empties
-    the column (the guard keeps its largest entry)."""
+    (support ``idx``, values ``vals``), its ``slot`` in the block, the
+    indices reached so far (``reached``, its row of the block's reached
+    mask) and the record fields gathered on the way. Given ``a_one_norm``,
+    every solve is followed by a drop step that never empties the column
+    (the guard keeps its largest entry)."""
 
-    def __init__(self, A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float | None):
+    def __init__(self, A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float | None,
+                 slot: int, reached: np.ndarray, gathered):
         self.A, self.k, self.params, self.a_one_norm = A, k, params, a_one_norm
-        self.state = ColumnLeastSquares(A, k, [k])
+        self.state = ColumnLeastSquares(A, k, gathered[0], gathered)
         self.idx = np.array([k], dtype=np.int64)
-        self.reached = np.zeros(A.ncols, dtype=bool)
-        self.reached[k] = True
+        self.slot, self.reached = slot, reached
         self.vals = np.ones(1)
         self.loops = 0
         self.stalled = self.guard = False
@@ -222,11 +223,12 @@ class _GrowingColumn:
         self.state = self.reached = self.idx = self.vals = None
         return False
 
-    def advance(self, idx, vals):
-        """One growth loop, given the next power vector ``(idx, vals)``: add
-        its new indices, re-solve, then drop."""
+    def advance(self, idx, vals, new, gathered):
+        """One growth loop, given the next power vector ``(idx, vals)``, its
+        indices ``new`` that were not reached before (now marked reached)
+        and, when there are any, the ``(support, block, rows)`` of the grown
+        pattern: re-solve, then drop."""
         self.idx, self.vals = idx, vals
-        new = idx[~self.reached[idx]]
         if new.size == 0:
             # no new index: stalled if A maps the reached set into itself, as
             # no index can then ever be new again; an idle loop otherwise
@@ -237,8 +239,7 @@ class _GrowingColumn:
                 self.loops += 1
             return
         self.loops += 1
-        self.reached[new] = True
-        self.state.augment(new)
+        self.state.augment(new, gathered)
         self.r_solve = self.state.residual_norm
         if self.a_one_norm is None:
             return
@@ -253,14 +254,44 @@ class _GrowingColumn:
             self.state.shrink(self.state.support[small])
 
 
+def _merged_supports(supports: list, new: np.ndarray, new_counts: np.ndarray, n: int) -> list:
+    """Each pattern of ``supports`` merged with its run of ``new`` (the
+    runs are consecutive, ``new_counts`` entries each) by one sort of
+    (pattern, index) keys; a new index already in its pattern raises
+    ``ValueError``."""
+    offsets = np.arange(len(supports)) * n
+    sizes = np.fromiter((s.size for s in supports), dtype=np.int64, count=len(supports))
+    keys = np.concatenate([np.concatenate(supports) + np.repeat(offsets, sizes),
+                           new + np.repeat(offsets, new_counts)])
+    keys.sort()
+    # a pattern and its run are each strictly increasing, so a key repeats
+    # iff a new index meets its pattern
+    if not (keys[1:] > keys[:-1]).all():
+        raise ValueError("augment indices must be disjoint from the pattern")
+    sizes += new_counts
+    keys -= np.repeat(offsets, sizes)
+    ends = np.cumsum(sizes).tolist()
+    return [keys[hi - size:hi] for hi, size in zip(ends, sizes.tolist())]
+
+
 def _grow_block(A: SparseMatrix, ks, params: SaiParams, a_one_norm: float | None) -> list:
     """The growth loop of the columns ``ks``, level-synchronous: every column
     still growing (pre-drop residual above epsilon, fewer than l_max loops
-    used, not stalled) advances one loop together, with its power step taken
-    from one sparse product for all of them. Given ``a_one_norm``, each
-    column drops after every solve. Returns the hand-off of each column, in
-    order."""
-    columns = [_GrowingColumn(A, k, params, a_one_norm) for k in ks]
+    used, not stalled) advances one loop together. A level takes the power
+    steps from one sparse product, the new indices from one 2-D reached
+    mask (column by index), the grown patterns from one keyed sort and all
+    their blocks A(R, S) from one ``_gather_blocks`` call, as the first
+    solves on the patterns {k} take theirs. Each column then solves, and
+    given ``a_one_norm`` drops, on its own least-squares state. Returns the
+    hand-off of each column, in order."""
+    ks = list(ks)
+    firsts = [np.array([k], dtype=np.int64) for k in ks]
+    reached = np.zeros((len(ks), A.ncols), dtype=bool)
+    reached[np.arange(len(ks)), ks] = True
+    columns = [
+        _GrowingColumn(A, k, params, a_one_norm, slot, reached[slot], (first, *gathered))
+        for slot, (k, first, gathered) in enumerate(zip(ks, firsts, _gather_blocks(A, firsts, ks)))
+    ]
     active = [c for c in columns if c.grows_on()]
     while active:
         indptr = np.zeros(len(active) + 1, dtype=np.int64)
@@ -271,8 +302,22 @@ def _grow_block(A: SparseMatrix, ks, params: SaiParams, a_one_norm: float | None
             shape=(A.ncols, len(active)),
         )
         W = _power_steps(A, V)
-        for c, lo, hi in zip(active, W.indptr[:-1], W.indptr[1:]):
-            c.advance(W.indices[lo:hi], W.data[lo:hi])
+        entry_slot = np.repeat([c.slot for c in active], np.diff(W.indptr))
+        is_new = ~reached[entry_slot, W.indices]
+        new = W.indices[is_new].astype(np.int64)
+        reached[entry_slot[is_new], new] = True
+        new_ptr = np.concatenate(([0], np.cumsum(is_new)))[W.indptr]
+        new_counts = np.diff(new_ptr)
+        grown = [c for c, count in zip(active, new_counts.tolist()) if count]
+        gathered = iter(())
+        if grown:
+            supports = _merged_supports([c.state.support for c in grown], new,
+                                        new_counts[new_counts > 0], A.ncols)
+            blocks = _gather_blocks(A, supports, [c.k for c in grown])
+            gathered = iter([(s, *b) for s, b in zip(supports, blocks)])
+        steps, news = W.indptr.tolist(), new_ptr.tolist()
+        for c, lo, hi, a, b in zip(active, steps, steps[1:], news, news[1:]):
+            c.advance(W.indices[lo:hi], W.data[lo:hi], new[a:b], next(gathered) if b > a else None)
         active = [c for c in active if c.grows_on()]
     return [c.handoff for c in columns]
 
@@ -296,7 +341,7 @@ def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):
     record)`` with increasing indices; values may hold exact zeros, which
     :func:`assemble_columns` purges (``record.nnz_final`` does not count them).
     It is the block kernel the build runs, on the block of column k alone."""
-    return _grow_block(A, [k], params, None)[0]
+    return _single_column(A, k, params, None)
 
 
 def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float):
@@ -304,6 +349,15 @@ def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: floa
     form :func:`bpsai_column` returns."""
     if params.drop_mode == "none":
         raise ValueError("psai_tol_column needs a dropping mode")
+    return _single_column(A, k, params, a_one_norm)
+
+
+def _single_column(A: SparseMatrix, k, params: SaiParams, a_one_norm: float | None):
+    """:func:`_grow_block` on the block of column k alone, k checked as
+    ``ColumnLeastSquares`` checks it."""
+    k = _as_index(k, "column index")
+    if not 0 <= k < A.ncols:
+        raise ValueError("column index out of range")
     return _grow_block(A, [k], params, a_one_norm)[0]
 
 

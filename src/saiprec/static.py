@@ -16,7 +16,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseMatrix
+from .core import SparseMatrix, _gather_blocks
 from .diagnostics import _column_norms, _residual_matrix
 from .lsq import ColumnLeastSquares
 from .psai import Preconditioner, _build_columns, _column_result
@@ -69,15 +69,19 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
     return SparseMatrix.from_scipy(out)
 
 
-def _static_column(k, A, col_ptr, row_idx):
-    state = ColumnLeastSquares(A, k, row_idx[col_ptr[k] : col_ptr[k + 1]])
+def _static_column(k, A, support, gathered):
+    state = ColumnLeastSquares(A, k, support, (support, *gathered))
     return _column_result(
         state, k, loops_used=0, pre_drop_residual=state.residual_norm, met_accuracy=None
     )
 
 
 def _static_block(ks, A, a_one_norm, col_ptr, row_idx):
-    return [_static_column(k, A, col_ptr, row_idx) for k in ks]
+    """The columns ``ks`` on their fixed patterns (the rows of the pattern's
+    columns ``ks``), with every block A(R, S) gathered by one call."""
+    supports = [row_idx[col_ptr[k] : col_ptr[k + 1]] for k in ks]
+    blocks = _gather_blocks(A, supports, list(ks))
+    return [_static_column(k, A, S, block) for k, S, block in zip(ks, supports, blocks)]
 
 
 def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Preconditioner:

@@ -44,9 +44,10 @@ class ColumnLeastSquares:
     or handed in as ``gathered``: the new support (sorted, in range) and the
     ``(block, rows)`` that ``core._gather_blocks`` returns for it and row k.
     The builders gather the blocks of many columns with one such call; a
-    handed-in block is not checked against ``pattern`` or ``new_indices``. :meth:`shrink` slices the held block and neither factors
-    nor re-solves: the kept coefficients keep their values (the builders'
-    dropped-column semantics).
+    handed-in block is not checked against ``pattern`` or ``new_indices``.
+    :meth:`shrink` slices the held block and neither factors nor re-solves:
+    the kept coefficients keep their values (the builders' dropped-column
+    semantics).
 
     Rank deficiency (a pivot at or below ``n * eps * column_norm``, or a
     column with no pivot row left) switches solves to a minimum-norm fallback

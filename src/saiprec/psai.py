@@ -285,13 +285,12 @@ def _grow_block(A: SparseMatrix, ks, params: SaiParams, a_one_norm: float | None
     given ``a_one_norm`` drops, on its own least-squares state. Returns the
     hand-off of each column, in order."""
     ks = list(ks)
-    firsts = [np.array([k], dtype=np.int64) for k in ks]
     reached = np.zeros((len(ks), A.ncols), dtype=bool)
     reached[np.arange(len(ks)), ks] = True
-    columns = [
-        _GrowingColumn(A, k, params, a_one_norm, slot, reached[slot], (first, *gathered))
-        for slot, (k, first, gathered) in enumerate(zip(ks, firsts, _gather_blocks(A, firsts, ks)))
-    ]
+    firsts = [np.array([k], dtype=np.int64) for k in ks]
+    blocks = _gather_blocks(A, firsts, ks)
+    columns = [_GrowingColumn(A, k, params, a_one_norm, slot, reached[slot],
+                              (firsts[slot], *blocks[slot])) for slot, k in enumerate(ks)]
     active = [c for c in columns if c.grows_on()]
     while active:
         indptr = np.zeros(len(active) + 1, dtype=np.int64)

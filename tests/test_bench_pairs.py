@@ -72,3 +72,32 @@ def test_metric_on_one_side_only_is_named_missing():
                                           "change": ["w.core.column_calls"]}
     assert sorted(bench_pairs.summarize(pairs, BETTER)) == ["w.build_s"]
     assert bench_pairs.missing(runs([1.0], [1.0])) == {"parent": [], "change": []}
+
+
+def test_verdict_against_the_bound():
+    bounds = {"w.build_s": 0.25}
+    before = [4.0, 4.1, 4.2, 4.3, 4.4]
+
+    def got(after, before=before):
+        return bench_pairs.summarize(runs(before, after), BETTER, bounds)["w.build_s"]["verdict"]
+
+    assert got([4.3, 4.9, 5.0, 5.1, 3.9]) == "within_bound"  # median 4.9, within 25 % of 4.2
+    assert got([5.3, 5.4, 5.5, 5.6, 5.7]) == "worse"  # median 5.5, above 1.25 * 4.2
+    wide = [2.0, 3.0, 4.0, 6.0, 8.0]  # IQR 3.0, above a quarter of the median 4.0
+    assert got([5.3, 5.4, 5.5, 5.6, 5.7], wide) == "unresolved"
+    assert got([1.0, 1.5, 1.2, 1.1, 1.9], wide) == "within_bound"  # every change run wins
+    assert "verdict" not in bench_pairs.summarize(runs(before, before), BETTER)["w.build_s"]
+
+
+def test_higher_is_better_verdict():
+    name, bounds = "w.krylov.apply_m_gflops", {"w.krylov.apply_m_gflops": 0.1}
+    before = [10.0, 10.1, 10.2, 10.3, 10.4]
+    got = bench_pairs.summarize(runs(before, [8.0] * 5, name), BETTER, bounds)[name]["verdict"]
+    assert got == "worse"
+
+
+def test_bounds_cover_workload_prefixes():
+    bounds = bench_pairs.end_to_end_bounds(
+        {"workloads": [{"name": "w"}], "end_to_end": [{"name": "build_s", "bound": 0.25}],
+         "per_layer": [{"name": "lsq.total_s"}]})
+    assert bounds == {"build_s": 0.25, "w.build_s": 0.25}

@@ -53,6 +53,20 @@ class TestCheckNonsingular:
         monkeypatch.setattr("saiprec.diagnostics.splu", no_splu)
         assert check_nonsingular(M) == (False, 0.0)
 
+    def test_two_equal_columns_are_singular(self):
+        dense = np.random.default_rng(3).uniform(1.0, 2.0, size=(6, 6))
+        dense[:, 4] = dense[:, 1]
+        ok, pivot = check_nonsingular(SparseMatrix.from_dense(dense))
+        assert not ok and pivot <= 6 * np.finfo(float).eps * np.abs(dense).sum(axis=0).max()
+
+    def test_well_conditioned_random_matrix_is_nonsingular(self):
+        rng = np.random.default_rng(4)
+        dense = np.eye(40) * 10.0 + rng.uniform(-1.0, 1.0, (40, 40)) * (rng.random((40, 40)) < 0.1)
+        M = SparseMatrix.from_dense(dense)
+        assert np.linalg.cond(dense) < 10.0
+        ok, pivot = check_nonsingular(M)
+        assert ok and pivot > 1.0
+
     def test_flag_is_python_bool(self):
         # the CLI writes Python bools as 1/0; a numpy.bool_ would print True/False
         for M in (SparseMatrix.identity(3), SparseMatrix.from_dense(np.diag([1.0, 1e-18]))):

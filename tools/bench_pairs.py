@@ -10,7 +10,13 @@ each side's values, median and quartiles (numpy's linear percentiles 25 and
 75), the pairs each side won (ties count for neither; "won" follows the
 metric's ``better`` in BENCHMARK.json) and whether the claim rule holds: the
 change wins at least nine tenths of the pairs and its median is better than
-the parent's by more than the parent's interquartile range. A metric with a
+the parent's by more than the parent's interquartile range. Each end-to-end
+metric also gets a ``verdict`` against its ``bound`` in BENCHMARK.json (a
+share of the parent's median): ``unresolved`` when the parent's interquartile
+range exceeds the bound, unless every change run beats every parent run;
+otherwise ``worse`` when the change's median is worse than the parent's by
+more than the bound, and ``within_bound`` when it is not; the verdicts are
+printed after the last pair. A metric with a
 value on one side of a pair and none on the other is listed under
 ``missing`` by the side that lacks it, and printed after the pair. From the
 repository root:
@@ -85,14 +91,39 @@ def better_direction(spec: dict) -> dict:
     return {**better, **prefixed}
 
 
+def end_to_end_bounds(spec: dict) -> dict:
+    """Result-line end-to-end metric name -> its ``bound`` in BENCHMARK.json,
+    with and without each workload's prefix."""
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    prefixed = {f"{w['name']}.{name}": bound for w in spec["workloads"]
+                for name, bound in bounds.items()}
+    return {**bounds, **prefixed}
+
+
+def verdict(before: np.ndarray, after: np.ndarray, sign: float, bound: float) -> str:
+    """``within_bound``, ``worse`` or ``unresolved`` for the change's runs
+    ``after`` against the parent's ``before``; ``sign`` is 1 when lower is
+    better and -1 when higher is, and ``bound`` is a share of the parent's
+    median."""
+    if np.max(sign * after) < np.min(sign * before):  # every change run beats every parent run
+        return "within_bound"
+    median_before = float(np.median(before))
+    q1, q3 = np.percentile(before, [25, 75])
+    allowed = bound * abs(median_before)
+    if q3 - q1 > allowed:
+        return "unresolved"
+    return "worse" if sign * (float(np.median(after)) - median_before) > allowed else "within_bound"
+
+
 def value(run: dict, name: str):
     """The value of metric ``name`` in a run's result line, or None."""
     return (run["result"]["metrics"].get(name) or {}).get("value")
 
 
-def summarize(runs, better: dict) -> dict:
-    """Per metric of the result lines: both sides' values and statistics. A
-    metric that BENCHMARK.json does not name counts as lower-is-better."""
+def summarize(runs, better: dict, bounds: dict | None = None) -> dict:
+    """Per metric of the result lines: both sides' values and statistics, and
+    for a metric with an entry in ``bounds`` its :func:`verdict`. A metric
+    that BENCHMARK.json does not name counts as lower-is-better."""
     ok = [r for r in runs if r["parent"]["result"] and r["change"]["result"]]
     names = sorted(set().union(*(r["parent"]["result"]["metrics"] for r in ok))) if ok else []
     summary = {}
@@ -119,6 +150,8 @@ def summarize(runs, better: dict) -> dict:
             "gain_exceeds_parent_iqr": bool(gain > iqr),
             "claim_holds": bool(10 * wins >= WIN_TENTHS * len(pairs) and gain > iqr),
         }
+        if bounds and name in bounds:
+            summary[name]["verdict"] = verdict(before, after, sign, bounds[name])
     return summary
 
 
@@ -174,7 +207,7 @@ def main(argv=None) -> int:
         entry["runs"].append(run)
         entry["operations"] = operations(entry["runs"])
         entry["missing"] = missing(entry["runs"])
-        entry["summary"] = summarize(entry["runs"], better_direction(spec))
+        entry["summary"] = summarize(entry["runs"], better_direction(spec), end_to_end_bounds(spec))
         entry["host"]["loadavg_at_end"] = os.getloadavg()
         out.write_text(json.dumps(record, indent=1) + "\n")
         failed = [s for s in order if run[s]["result"] is None or run[s]["exit_code"]]
@@ -182,6 +215,10 @@ def main(argv=None) -> int:
         print(f"pair {i}: parent {run['parent']['wall_s']:.0f} s, change "
               f"{run['change']['wall_s']:.0f} s" + (f"; failed: {failed}" if failed else "")
               + "".join(f"; {line}" for line in absent), flush=True)
+    for name, stats in entry["summary"].items():
+        if "verdict" in stats:
+            print(f"{name}: {stats['verdict']} (median {stats['median_before']:.4g} -> "
+                  f"{stats['median_after']:.4g})")
     return 0
 
 

@@ -7,7 +7,10 @@ products, transpose and densification are scipy's CSC kernels; the Krylov
 solvers multiply with a cached CSR copy (``to_csr``), and the least-squares
 rank test reads the cached column 2-norms (``column_norms``). ``column``
 reads one column, or a whole index array at once by arithmetic on
-``col_ptr``, so that a gather of A(R, J) is one call. A pickled
+``col_ptr``, so that a gather of A(R, J) is one call. ``_gather_blocks``
+gathers the dense blocks A(R, S) of many column sets from one such call,
+one sort of (set, row) keys and one scatter into a flat buffer cut into the
+blocks; ``gather_submatrix`` is its checked form for one set. A pickled
 matrix is rebuilt without these caches. Every constructor keeps a private
 read-only copy of its input arrays, and rejects index arrays that are boolean
 or hold non-integral values instead of truncating them. Matrix Market

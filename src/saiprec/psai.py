@@ -3,16 +3,19 @@
 One kernel, ``_grow_block``, grows a fixed block of columns level by level:
 the pattern of column k grows by the numerical nonzeros of the powers
 A^l e_k, kept as sparse vectors, and every column still growing takes its
-next power step from one sparse product A V over the block. Each growth
-step ends with one solve of the column's own least-squares problem (a LAPACK
-QR of its block, applied to e_k without forming Q; see ``lsq``). A column
-stops early (stalled) once A maps its reached index set into itself, as no
-index can be new again. The plain builder never drops; the dropping builder
-removes small entries after each solve (the block is sliced, not factored) by
-a fixed tolerance or the adaptive criterion eps / (nnz(m_k) * ||A||_1), which
-keeps the dropped mass small enough that a column meeting the accuracy target
-eps still satisfies ||A m_d - e_k||_2 <= 2 eps after dropping. The
-per-column entry points ``bpsai_column`` and ``psai_tol_column`` run the same
+next power step from one sparse product A V over the block. The setup
+around the solves is level-synchronous too: a level finds every column's new
+indices in one 2-D reached mask, merges the grown patterns with one keyed
+sort and gathers all their blocks A(R, S) with one ``core._gather_blocks``
+call. Each growth step ends with one solve of the column's own
+least-squares problem (a LAPACK QR of its block, applied to e_k without
+forming Q; see ``lsq``). A column stops early (stalled) once A maps its
+reached index set into itself, as no index can be new again. The plain
+builder never drops; the dropping builder removes small entries after each
+solve (the block is sliced, not factored) by a fixed tolerance or the
+adaptive criterion eps / (nnz(m_k) * ||A||_1), which keeps the dropped mass
+small enough that a column meeting the accuracy target eps still satisfies
+||A m_d - e_k||_2 <= 2 eps after dropping. The per-column entry points ``bpsai_column`` and ``psai_tol_column`` run the same
 kernel on a block of one column. Everything around the columns (the checks on
 A, the fan-out of the blocks, the assembly of M and the report) is written
 once, in ``_build_columns``, and the static builder uses it.

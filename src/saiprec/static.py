@@ -3,7 +3,8 @@
 The envelope patterns are the structures of (I+A)^k, (I+|A|+|A^T|)^k A^T and
 (A^T A)^k A^T. Each column solves its least-squares problem once on the fixed
 pattern, through ``psai._build_columns``, which runs the columns a block at a
-time; postfiltration afterwards drops entries below
+time; the blocks A(R, S) of a block's columns come from one
+``core._gather_blocks`` call. Postfiltration afterwards drops entries below
 max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column of a right-side M, where
 eps_k is that column's achieved residual norm.
 """

@@ -10,12 +10,14 @@ reads one column, or a whole index array at once by arithmetic on
 ``col_ptr``, so that a gather of A(R, J) is one call. ``_gather_blocks``
 gathers the dense blocks A(R, S) of many column sets from one such call,
 one sort of (set, row) keys and one scatter into a flat buffer cut into the
-blocks; ``gather_submatrix`` is its checked form for one set. A pickled
-matrix is rebuilt without these caches. Every constructor keeps a private
-read-only copy of its input arrays, and rejects index arrays that are boolean
-or hold non-integral values instead of truncating them. Matrix Market
-files are one-based on disk; scipy's ``mmwrite`` writes them, and a loader of
-our own reads them, stricter than ``mmread`` about malformed entries.
+blocks; ``gather_submatrix`` is its checked form for one set.
+``_merged_supports`` grows many sorted patterns by their new indices with
+one sort of (set, index) keys. A pickled matrix is rebuilt without these
+caches. Every constructor keeps a private read-only copy of its input
+arrays, and rejects index arrays that are boolean or hold non-integral
+values instead of truncating them. Matrix Market files are one-based on
+disk; scipy's ``mmwrite`` writes them, and a loader of our own reads them,
+stricter than ``mmread`` about malformed entries.
 """
 
 from __future__ import annotations
@@ -287,6 +289,27 @@ def _index_set(obj, bound: int, name: str = "pattern index") -> np.ndarray:
         raise ValueError(f"{name} out of range [0, {bound})")
     arr.setflags(write=False)
     return arr
+
+
+def _merged_supports(supports: list, new: np.ndarray, new_counts: np.ndarray, n: int) -> list:
+    """Each pattern of ``supports`` merged with its run of ``new`` (the
+    runs are consecutive, ``new_counts`` entries each) by one sort of
+    (pattern, index) keys; a new index already in its pattern raises
+    ``ValueError``. Patterns and runs must be strictly increasing and lie in
+    ``[0, n)``."""
+    offsets = np.arange(len(supports)) * n
+    sizes = np.fromiter((s.size for s in supports), dtype=np.int64, count=len(supports))
+    keys = np.concatenate([np.concatenate(supports) + np.repeat(offsets, sizes),
+                           new + np.repeat(offsets, new_counts)])
+    keys.sort()
+    # a pattern and its run are each strictly increasing, so a key repeats
+    # iff a new index meets its pattern
+    if not (keys[1:] > keys[:-1]).all():
+        raise ValueError("augment indices must be disjoint from the pattern")
+    sizes += new_counts
+    keys -= np.repeat(offsets, sizes)
+    ends = np.cumsum(sizes).tolist()
+    return [keys[hi - size:hi] for hi, size in zip(ends, sizes.tolist())]
 
 
 def gather_submatrix(A: SparseMatrix, pattern, extra_rows=()):

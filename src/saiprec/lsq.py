@@ -30,7 +30,7 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dormqr, dtrtrs
 
-from .core import SparseMatrix, _as_index, _gather_blocks, _index_set
+from .core import SparseMatrix, _as_index, _gather_blocks, _index_set, _merged_supports
 
 _EPS = np.finfo(np.float64).eps
 
@@ -104,11 +104,7 @@ class ColumnLeastSquares:
             new = _index_set(new_indices, self._A.ncols)
             if new.size == 0:
                 return self
-            # both are strictly increasing, so the merge repeats an index iff they meet
-            support = np.concatenate([self._support, new])
-            support.sort()
-            if not (support[1:] > support[:-1]).all():
-                raise ValueError("augment indices must be disjoint from the pattern")
+            support = _merged_supports([self._support], new, [new.size], self._A.ncols)[0]
             gathered = self._gather(support)
         self._set_pattern(*gathered)
         self._solve()

@@ -1,24 +1,30 @@
 """Adaptive sparse-approximate-inverse construction.
 
-One kernel, ``_grow_block``, grows a fixed block of columns level by level:
-the pattern of column k grows by the numerical nonzeros of the powers
-A^l e_k, kept as sparse vectors, and every column still growing takes its
-next power step from one sparse product A V over the block. The setup
-around the solves is level-synchronous too: a level finds every column's new
+One kernel, ``_grow_block``, grows a fixed block of columns level by level,
+and the block holds all of their growth state. The pattern of column k grows
+by the numerical nonzeros of the powers A^l e_k: the power vectors of the
+columns still growing are the columns of one sparse matrix V, and a level
+takes all their next steps from one product A V, which becomes the next V
+once the columns that stopped are cut out. A level finds every column's new
 indices in one 2-D reached mask, merges the grown patterns with one keyed
 sort and gathers all their blocks A(R, S) with one ``core._gather_blocks``
-call. Each growth step ends with one solve of the column's own
-least-squares problem (a LAPACK QR of its block, applied to e_k without
-forming Q; see ``lsq``). A column stops early (stalled) once A maps its
-reached index set into itself, as no index can be new again. The plain
-builder never drops; the dropping builder removes small entries after each
-solve (the block is sliced, not factored) by a fixed tolerance or the
-adaptive criterion eps / (nnz(m_k) * ||A||_1), which keeps the dropped mass
-small enough that a column meeting the accuracy target eps still satisfies
-||A m_d - e_k||_2 <= 2 eps after dropping. The per-column entry points ``bpsai_column`` and ``psai_tol_column`` run the same
-kernel on a block of one column. Everything around the columns (the checks on
-A, the fan-out of the blocks, the assembly of M and the report) is written
-once, in ``_build_columns``, and the static builder uses it.
+call. Each growing column then solves its own least-squares problem (a
+LAPACK QR of its block, applied to e_k without forming Q; see ``lsq``). A
+column stops early (stalled) once A maps its reached index set into itself,
+as no index can be new again. Per column the block keeps the loop count,
+the stalled and guard flags, the drop tolerances, the pre-drop residual and
+the least-squares state, which it releases when the column stops growing.
+
+Whether a build drops is one rule, ``SaiParams.drops``: a fixed tolerance,
+or the adaptive criterion eps / (nnz(m_k) * ||A||_1) with a nonzero
+``drop_scale``. A dropping build removes small entries after each solve
+(the block is sliced, not factored); the adaptive criterion keeps the
+dropped mass small enough that a column meeting the accuracy target eps
+still satisfies ||A m_d - e_k||_2 <= 2 eps after dropping. The per-column
+entry points ``bpsai_column`` and ``psai_tol_column`` run the same kernel on
+a block of one column. Everything around the columns (the checks on A, the
+fan-out of the blocks, the assembly of M and the report) is written once,
+in ``_build_columns``, and the static builder uses it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._parallel import map_columns
-from .core import SparseMatrix, _as_index, _gather_blocks, assemble_columns
+from .core import SparseMatrix, _as_index, _gather_blocks, _merged_supports, assemble_columns
 from .lsq import ColumnLeastSquares
 
 DROP_MODES = ("none", "adaptive", "fixed")
@@ -83,6 +89,13 @@ class SaiParams:
             raise ValueError("drop_scale must be nonnegative and finite")
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
+
+    @property
+    def drops(self) -> bool:
+        """Whether a build with these parameters drops: a fixed tolerance, or
+        the adaptive criterion with a nonzero ``drop_scale``."""
+        return self.drop_mode == "fixed" or (
+            self.drop_mode == "adaptive" and self.drop_scale != 0.0)
 
 
 @dataclass
@@ -181,147 +194,86 @@ def _power_steps(A: SparseMatrix, V):
     return W
 
 
-def _power_step(A: SparseMatrix, idx: np.ndarray, vals: np.ndarray):
-    """:func:`_power_steps` on the one sparse power vector with support
-    ``idx`` (increasing) and values ``vals``; returns the support and values
-    of the result."""
-    W = _power_steps(A, sp.csc_matrix((vals, idx, [0, idx.size]), shape=(A.ncols, 1)))
-    return W.indices.astype(np.int64), W.data
-
-
-class _GrowingColumn:
-    """Column k in the growth loop: its least-squares state, its power vector
-    (support ``idx``, values ``vals``), its ``slot`` in the block, the
-    indices reached so far (``reached``, its row of the block's reached
-    mask) and the record fields gathered on the way. Given ``a_one_norm``,
-    every solve is followed by a drop step that never empties the column
-    (the guard keeps its largest entry)."""
-
-    def __init__(self, A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float | None,
-                 slot: int, reached: np.ndarray, gathered):
-        self.A, self.k, self.params, self.a_one_norm = A, k, params, a_one_norm
-        self.state = ColumnLeastSquares(A, k, gathered[0], gathered)
-        self.idx = np.array([k], dtype=np.int64)
-        self.slot, self.reached = slot, reached
-        self.vals = np.ones(1)
-        self.loops = 0
-        self.stalled = self.guard = False
-        self.tols = []
-        self.r_solve = self.state.residual_norm
-
-    def grows_on(self) -> bool:
-        """Whether the column takes another growth loop. Once it does not,
-        its hand-off is taken and its least-squares state released, so that
-        a block holds the states of its growing columns only."""
-        params = self.params
-        if not self.stalled and self.r_solve > params.epsilon and self.loops < params.l_max:
-            return True
-        tols = self.tols
-        self.handoff = _column_result(
-            self.state, self.k, loops_used=self.loops, pre_drop_residual=self.r_solve,
-            met_accuracy=self.r_solve <= params.epsilon, guard_flag=self.guard,
-            stalled=self.stalled,
-            tol_min=min(tols) if tols else None, tol_max=max(tols) if tols else None,
-        )
-        self.state = self.reached = self.idx = self.vals = None
-        return False
-
-    def advance(self, idx, vals, new, gathered):
-        """One growth loop, given the next power vector ``(idx, vals)``, its
-        indices ``new`` that were not reached before (now marked reached)
-        and, when there are any, the ``(support, block, rows)`` of the grown
-        pattern: re-solve, then drop."""
-        self.idx, self.vals = idx, vals
-        if new.size == 0:
-            # no new index: stalled if A maps the reached set into itself, as
-            # no index can then ever be new again; an idle loop otherwise
-            rows = self.A.column(np.flatnonzero(self.reached))[0]
-            if self.reached[rows].all():
-                self.stalled = True
-            else:
-                self.loops += 1
-            return
-        self.loops += 1
-        self.state.augment(new, gathered)
-        self.r_solve = self.state.residual_norm
-        if self.a_one_norm is None:
-            return
-        params, sol = self.params, self.state.solution
-        self.tols.append(adaptive_drop_tolerance(params.epsilon, sol.size, self.a_one_norm))
-        threshold = params.drop_scale * self.tols[-1] if params.drop_mode == "adaptive" else params.tol
-        small = np.abs(sol) <= threshold
-        if small.all():
-            small[int(np.argmax(np.abs(sol)))] = False
-            self.guard = True
-        if small.any():
-            self.state.shrink(self.state.support[small])
-
-
-def _merged_supports(supports: list, new: np.ndarray, new_counts: np.ndarray, n: int) -> list:
-    """Each pattern of ``supports`` merged with its run of ``new`` (the
-    runs are consecutive, ``new_counts`` entries each) by one sort of
-    (pattern, index) keys; a new index already in its pattern raises
-    ``ValueError``."""
-    offsets = np.arange(len(supports)) * n
-    sizes = np.fromiter((s.size for s in supports), dtype=np.int64, count=len(supports))
-    keys = np.concatenate([np.concatenate(supports) + np.repeat(offsets, sizes),
-                           new + np.repeat(offsets, new_counts)])
-    keys.sort()
-    # a pattern and its run are each strictly increasing, so a key repeats
-    # iff a new index meets its pattern
-    if not (keys[1:] > keys[:-1]).all():
-        raise ValueError("augment indices must be disjoint from the pattern")
-    sizes += new_counts
-    keys -= np.repeat(offsets, sizes)
-    ends = np.cumsum(sizes).tolist()
-    return [keys[hi - size:hi] for hi, size in zip(ends, sizes.tolist())]
-
-
-def _grow_block(A: SparseMatrix, ks, params: SaiParams, a_one_norm: float | None) -> list:
+def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams) -> list:
     """The growth loop of the columns ``ks``, level-synchronous: every column
     still growing (pre-drop residual above epsilon, fewer than l_max loops
     used, not stalled) advances one loop together. A level takes the power
     steps from one sparse product, the new indices from one 2-D reached
     mask (column by index), the grown patterns from one keyed sort and all
     their blocks A(R, S) from one ``_gather_blocks`` call, as the first
-    solves on the patterns {k} take theirs. Each column then solves, and
-    given ``a_one_norm`` drops, on its own least-squares state. Returns the
-    hand-off of each column, in order."""
-    ks = list(ks)
-    reached = np.zeros((len(ks), A.ncols), dtype=bool)
-    reached[np.arange(len(ks)), ks] = True
-    firsts = [np.array([k], dtype=np.int64) for k in ks]
-    blocks = _gather_blocks(A, firsts, ks)
-    columns = [_GrowingColumn(A, k, params, a_one_norm, slot, reached[slot],
-                              (firsts[slot], *blocks[slot])) for slot, k in enumerate(ks)]
-    active = [c for c in columns if c.grows_on()]
-    while active:
-        indptr = np.zeros(len(active) + 1, dtype=np.int64)
-        np.cumsum([c.idx.size for c in active], out=indptr[1:])
-        V = sp.csc_matrix(
-            (np.concatenate([c.vals for c in active]), np.concatenate([c.idx for c in active]),
-             indptr),
-            shape=(A.ncols, len(active)),
-        )
-        W = _power_steps(A, V)
-        entry_slot = np.repeat([c.slot for c in active], np.diff(W.indptr))
-        is_new = ~reached[entry_slot, W.indices]
-        new = W.indices[is_new].astype(np.int64)
+    solves on the patterns {k} take theirs. Each grown column then solves,
+    and drops if ``params.drops``, on its own least-squares state; with
+    ``a_one_norm`` None (the plain builder) no column drops. Every drop step
+    keeps the column's largest entry (the guard). Returns the hand-off of
+    each column, in order."""
+    ks = np.asarray(ks, dtype=np.int64)
+    n, eps = A.ncols, params.epsilon
+    drops = a_one_norm is not None and params.drops
+    reached = np.zeros((ks.size, n), dtype=bool)
+    reached[np.arange(ks.size), ks] = True
+    firsts = [ks[slot:slot + 1] for slot in range(ks.size)]
+    states = [ColumnLeastSquares(A, k, first, (first, *block)) for k, first, block
+              in zip(ks.tolist(), firsts, _gather_blocks(A, firsts, ks))]
+    residual = np.array([state.residual_norm for state in states])  # pre-drop
+    loops = np.zeros(ks.size, dtype=np.int64)
+    stalled = np.zeros(ks.size, dtype=bool)
+    guard = np.zeros(ks.size, dtype=bool)
+    tols = [[] for _ in states]
+    handoffs = [None] * ks.size
+    active = np.arange(ks.size)  # the slots of the columns that took the last step
+    V = sp.csc_matrix((np.ones(ks.size), ks, np.arange(ks.size + 1)), shape=(n, ks.size))
+    while True:
+        grows = ~stalled[active] & (residual[active] > eps) & (loops[active] < params.l_max)
+        for slot in active[~grows].tolist():
+            handoffs[slot] = _column_result(
+                states[slot], int(ks[slot]), loops_used=int(loops[slot]),
+                pre_drop_residual=float(residual[slot]), met_accuracy=bool(residual[slot] <= eps),
+                guard_flag=bool(guard[slot]), stalled=bool(stalled[slot]),
+                tol_min=min(tols[slot], default=None), tol_max=max(tols[slot], default=None),
+            )
+            states[slot] = None
+        if not grows.any():
+            return handoffs
+        if not grows.all():
+            keep = np.flatnonzero(grows)
+            active, V = active[keep], V[:, keep]
+        V = _power_steps(A, V)
+        entry_slot = np.repeat(active, np.diff(V.indptr))
+        is_new = ~reached[entry_slot, V.indices]
+        new = V.indices[is_new].astype(np.int64)
         reached[entry_slot[is_new], new] = True
-        new_ptr = np.concatenate(([0], np.cumsum(is_new)))[W.indptr]
-        new_counts = np.diff(new_ptr)
-        grown = [c for c, count in zip(active, new_counts.tolist()) if count]
-        gathered = iter(())
-        if grown:
-            supports = _merged_supports([c.state.support for c in grown], new,
-                                        new_counts[new_counts > 0], A.ncols)
-            blocks = _gather_blocks(A, supports, [c.k for c in grown])
-            gathered = iter([(s, *b) for s, b in zip(supports, blocks)])
-        steps, news = W.indptr.tolist(), new_ptr.tolist()
-        for c, lo, hi, a, b in zip(active, steps, steps[1:], news, news[1:]):
-            c.advance(W.indices[lo:hi], W.data[lo:hi], new[a:b], next(gathered) if b > a else None)
-        active = [c for c in active if c.grows_on()]
-    return [c.handoff for c in columns]
+        new_ptr = np.concatenate(([0], np.cumsum(is_new)))[V.indptr]
+        starts, ends = new_ptr[:-1], new_ptr[1:]  # each stepped column's run of new
+        grew = ends > starts
+        for slot in active[~grew].tolist():
+            # no new index: stalled if A maps the reached set into itself, as
+            # no index can then ever be new again; an idle loop otherwise
+            rows = A.column(np.flatnonzero(reached[slot]))[0]
+            stalled[slot] = reached[slot, rows].all()
+        loops[active] += ~stalled[active]
+        grown = active[grew]
+        if grown.size == 0:
+            continue
+        supports = _merged_supports([states[slot].support for slot in grown.tolist()], new,
+                                    (ends - starts)[grew], n)
+        blocks = _gather_blocks(A, supports, ks[grown])
+        for slot, lo, hi, support, block in zip(grown.tolist(), starts[grew].tolist(),
+                                                 ends[grew].tolist(), supports, blocks):
+            state = states[slot]
+            state.augment(new[lo:hi], (support, *block))
+            residual[slot] = state.residual_norm
+            if not drops:
+                continue
+            solution = state.solution
+            tols[slot].append(adaptive_drop_tolerance(eps, solution.size, a_one_norm))
+            threshold = (params.drop_scale * tols[slot][-1] if params.drop_mode == "adaptive"
+                         else params.tol)
+            small = np.abs(solution) <= threshold
+            if small.all():
+                small[int(np.argmax(np.abs(solution)))] = False
+                guard[slot] = True
+            if small.any():
+                state.shrink(state.support[small])
 
 
 def _column_result(state: ColumnLeastSquares, k: int, **fields):
@@ -343,31 +295,26 @@ def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):
     record)`` with increasing indices; values may hold exact zeros, which
     :func:`assemble_columns` purges (``record.nnz_final`` does not count them).
     It is the block kernel the build runs, on the block of column k alone."""
-    return _single_column(A, k, params, None)
+    return _single_column(A, k, None, params)
 
 
 def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float):
     """One column of the dropping builder (adaptive or fixed tolerance), in the
-    form :func:`bpsai_column` returns."""
-    if params.drop_mode == "none":
-        raise ValueError("psai_tol_column needs a dropping mode")
-    return _single_column(A, k, params, a_one_norm)
+    form :func:`bpsai_column` returns; ``params`` must drop
+    (:attr:`SaiParams.drops`)."""
+    if not params.drops:
+        raise ValueError("psai_tol_column needs params that drop: drop_mode 'fixed', "
+                         "or 'adaptive' with drop_scale above 0")
+    return _single_column(A, k, a_one_norm, params)
 
 
-def _single_column(A: SparseMatrix, k, params: SaiParams, a_one_norm: float | None):
+def _single_column(A: SparseMatrix, k, a_one_norm: float | None, params: SaiParams):
     """:func:`_grow_block` on the block of column k alone, k checked as
     ``ColumnLeastSquares`` checks it."""
     k = _as_index(k, "column index")
     if not 0 <= k < A.ncols:
         raise ValueError("column index out of range")
-    return _grow_block(A, [k], params, a_one_norm)[0]
-
-
-def _build_block(ks, A: SparseMatrix, a_one_norm: float, params: SaiParams) -> list:
-    drops = params.drop_mode == "fixed" or (
-        params.drop_mode == "adaptive" and params.drop_scale != 0.0
-    )
-    return _grow_block(A, ks, params, a_one_norm if drops else None)
+    return _grow_block([k], A, a_one_norm, params)[0]
 
 
 def _build_columns(A: SparseMatrix, block, args: tuple, params: SaiParams | None, threads: int):
@@ -407,4 +354,4 @@ def build_preconditioner(A: SparseMatrix, params: SaiParams, threads: int = 1) -
     processes and come back in order, so the result is bit-identical
     regardless of the worker count.
     """
-    return _build_columns(A, _build_block, (params,), params, threads)
+    return _build_columns(A, _grow_block, (params,), params, threads)

@@ -64,10 +64,8 @@ def one_column_at_a_time(A: SparseMatrix, params: SaiParams):
     """M and the records assembled from ``bpsai_column`` (no dropping) or
     ``psai_tol_column`` called on each column of the operand in turn."""
     operand = A.transpose() if params.side == "left" else A
-    drops = params.drop_mode == "fixed" or (
-        params.drop_mode == "adaptive" and params.drop_scale != 0.0)
     results = [
-        psai_tol_column(operand, k, params, operand.one_norm()) if drops
+        psai_tol_column(operand, k, params, operand.one_norm()) if params.drops
         else bpsai_column(operand, k, params)
         for k in range(operand.ncols)
     ]

@@ -89,10 +89,10 @@ def column_reads(build, block):
     """Run ``build()`` with blocks of ``block`` columns and count what it
     reads: the ``SparseMatrix.column`` calls made inside each
     ``_gather_blocks`` call, those made outside any, the power-step levels
-    that augment at least one column, and the stall tests (advances that
-    find no new index)."""
+    that augment at least one column, and the stall tests (the columns a
+    level steps that it does not augment)."""
     column, gather = SparseMatrix.column, core._gather_blocks
-    advance, power_steps = psai._GrowingColumn.advance, psai._power_steps
+    augment, power_steps = lsq.ColumnLeastSquares.augment, psai._power_steps
     calls, per_gather, levels, stall_tests = [0], [], [], [0]
 
     def counted_column(self, k):
@@ -105,19 +105,18 @@ def column_reads(build, block):
         per_gather.append(calls[0] - before)
         return out
 
-    def counted_power_steps(*args):
+    def counted_power_steps(A, V):
         levels.append(False)
-        return power_steps(*args)
+        stall_tests[0] += V.shape[1]
+        return power_steps(A, V)
 
-    def counted_advance(self, idx, vals, new, gathered):
-        if new.size:
-            levels[-1] = True
-        else:
-            stall_tests[0] += 1
-        return advance(self, idx, vals, new, gathered)
+    def counted_augment(self, *args, **kwargs):
+        levels[-1] = True
+        stall_tests[0] -= 1
+        return augment(self, *args, **kwargs)
 
     with mock.patch.object(SparseMatrix, "column", counted_column), \
-            mock.patch.object(psai._GrowingColumn, "advance", counted_advance), \
+            mock.patch.object(lsq.ColumnLeastSquares, "augment", counted_augment), \
             mock.patch.object(psai, "_power_steps", counted_power_steps), \
             mock.patch.object(psai, "_BLOCK_COLUMNS", block), \
             mock.patch.object(psai, "_gather_blocks", counted_gather), \

@@ -58,6 +58,17 @@ class TestSaiParams:
         with pytest.raises(ValueError, match=message):
             SaiParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, drops", [
+        ({"drop_mode": "none"}, False),
+        ({"drop_mode": "none", "drop_scale": 2.0}, False),
+        ({"drop_mode": "adaptive"}, True),
+        ({"drop_mode": "adaptive", "drop_scale": 0.0}, False),
+        ({"drop_mode": "fixed", "tol": 1e-3}, True),
+        ({"drop_mode": "fixed", "tol": 1e-3, "drop_scale": 0.0}, True),
+    ])
+    def test_drops(self, kwargs, drops):
+        assert SaiParams(**kwargs).drops is drops
+
 
 class TestBpsaiColumn:
     def test_identity(self):
@@ -109,6 +120,18 @@ class TestBpsaiColumn:
 
 
 class TestPsaiTolColumn:
+    @pytest.mark.parametrize("params", [
+        SaiParams(drop_mode="none"),
+        SaiParams(drop_mode="adaptive", drop_scale=0.0),
+    ], ids=["drop_mode-none", "drop_scale-0"])
+    def test_params_that_do_not_drop_rejected(self, params):
+        # drop_scale 0 means no dropping at all, as in build_preconditioner,
+        # so the dropping column builder refuses it like drop_mode "none"
+        A = SparseMatrix.from_dense([[4.0, 1.0], [1.0, 4.0]])
+        assert not params.drops
+        with pytest.raises(ValueError, match="psai_tol_column needs"):
+            psai_tol_column(A, 0, params, A.one_norm())
+
     def test_identity_matches_bpsai(self):
         A = SparseMatrix.identity(5)
         params = SaiParams(epsilon=0.3, l_max=5, drop_mode="adaptive")

@@ -1,5 +1,7 @@
+import importlib.util
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,16 @@ import pytest
 from saiprec.core import SparseMatrix
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool(name: str):
+    """``tools/<name>.py`` as a module; environment variables it sets on
+    import (compare_builds pins BLAS threads) are undone afterwards."""
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(os.environ):
+        spec.loader.exec_module(module)
+    return module
 
 
 def data_dir() -> Path:

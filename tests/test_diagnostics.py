@@ -1,7 +1,14 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
-from conftest import random_sparse, random_well_conditioned
+from conftest import REPO_ROOT, load_tool, random_sparse, random_well_conditioned
 from saiprec.core import SparseMatrix
 from saiprec.diagnostics import check_nonsingular, quality_report, verify_drop_guarantees
 from saiprec.psai import SaiParams, build_preconditioner
@@ -71,6 +78,106 @@ class TestCheckNonsingular:
         # the CLI writes Python bools as 1/0; a numpy.bool_ would print True/False
         for M in (SparseMatrix.identity(3), SparseMatrix.from_dense(np.diag([1.0, 1e-18]))):
             assert isinstance(check_nonsingular(M)[0], bool)
+
+    def test_global_random_state_is_left_alone(self):
+        # the norm estimator draws from numpy's global generator
+        M = convection_diffusion_2d(6)
+        state = np.random.get_state()
+        first = check_nonsingular(M)
+        after = np.random.get_state()
+        assert first == check_nonsingular(M)
+        assert all(np.array_equal(x, y) for x, y in zip(state, after))
+
+
+EPS = np.finfo(float).eps
+ORDERINGS = ("COLAMD", "MMD_ATA", "MMD_AT_PLUS_A", "NATURAL")
+# static builds of tools/compare_builds.py whose M is numerically singular
+# (dense sigma_min/sigma_max between 2e-18 and 9e-16) but whose smallest LU
+# pivot under COLAMD sits above n*eps*||M||_1
+SINGULAR_BUILDS = ("small39-static-abs2", "small43-static-abs1", "small54-static-abs1",
+                   "small62-static-abs1", "small71-static-abs3")
+
+
+def convection_diffusion_2d(m: int) -> SparseMatrix:
+    """Five-point upwind convection-diffusion on an m x m grid: a
+    structurally symmetric pattern with unsymmetric values."""
+    T = sp.diags([-1.3, 2.0, -0.7], [-1, 0, 1], shape=(m, m))
+    return SparseMatrix.from_scipy(sp.kron(sp.identity(m), T) + sp.kron(T, sp.identity(m)))
+
+
+def svd_ratio(M: SparseMatrix) -> float:
+    s = np.linalg.svd(M.to_dense(), compute_uv=False)
+    return s[-1] / s[0]
+
+
+def forced_ordering(monkeypatch, ordering):
+    """Make check_nonsingular factor with ``ordering`` whatever it asks for."""
+    monkeypatch.setattr("saiprec.diagnostics.splu",
+                        lambda S, permc_spec=None, **kw: splu(S, permc_spec=ordering, **kw))
+
+
+def recorded_orderings(monkeypatch) -> list:
+    seen = []
+
+    def recording(S, permc_spec=None, **kw):
+        seen.append(permc_spec)
+        return splu(S, permc_spec=permc_spec, **kw)
+
+    monkeypatch.setattr("saiprec.diagnostics.splu", recording)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def singular_builds():
+    """M of each of SINGULAR_BUILDS, built by the harness's own thunks."""
+    harness = load_tool("compare_builds")
+    # the harness imports perfbench's generators
+    with mock.patch.object(sys, "path", [str(REPO_ROOT / "perfbench"), *sys.path]):
+        return {name: dict((label, P) for label, P, _ in build())["M"].M
+                for name, build in harness._configs() if name in SINGULAR_BUILDS}
+
+
+class TestOrderingFreeVerdict:
+    @pytest.mark.parametrize("name", SINGULAR_BUILDS)
+    def test_numerically_singular_builds(self, singular_builds, monkeypatch, name):
+        M = singular_builds[name]
+        assert svd_ratio(M) <= M.nrows * EPS
+        assert check_nonsingular(M)[0] is False
+        for ordering in ORDERINGS:
+            forced_ordering(monkeypatch, ordering)
+            assert check_nonsingular(M)[0] is False, ordering
+
+    def test_symmetric_pattern_takes_mmd_at_plus_a(self, monkeypatch):
+        M = convection_diffusion_2d(8)
+        assert not np.array_equal(M.to_dense(), M.to_dense().T)
+        seen = recorded_orderings(monkeypatch)
+        assert check_nonsingular(M)[0] is True
+        assert seen == ["MMD_AT_PLUS_A"]
+
+    def test_unsymmetric_pattern_takes_colamd(self, monkeypatch):
+        dense = convection_diffusion_2d(8).to_dense()
+        dense[0, 40] = 0.5
+        seen = recorded_orderings(monkeypatch)
+        assert check_nonsingular(SparseMatrix.from_dense(dense))[0] is True
+        assert seen == ["COLAMD"]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(n=st.integers(3, 16), seed=st.integers(0, 2**32 - 1), density=st.floats(0.2, 0.8),
+       decades=st.one_of(st.integers(0, 12), st.integers(18, 26)), combined=st.booleans())
+def test_verdict_matches_the_svd_away_from_the_threshold(n, seed, density, decades, combined):
+    # the last column is a part of size 10**-decades, added to a combination
+    # of two other columns or alone, so sigma_min/sigma_max spans both sides
+    # of n*eps
+    rng = np.random.default_rng(seed)
+    dense = random_sparse(rng, n, density, diag_boost=2.0).to_dense()
+    mix = rng.standard_normal() * dense[:, 0] + rng.standard_normal() * dense[:, 1]
+    dense[:, -1] = combined * mix + 10.0 ** -decades * rng.standard_normal(n)
+    M = SparseMatrix.from_dense(dense)
+    assume(M.column_nnz().all() and np.bincount(M.row_idx, minlength=n).all())
+    ratio = svd_ratio(M)
+    assume(not n * EPS / 1e3 < ratio < n * EPS * 1e3)
+    assert check_nonsingular(M)[0] is bool(ratio > n * EPS)
 
 
 class TestQualityReport:

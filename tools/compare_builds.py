@@ -7,7 +7,9 @@ M_d for the static builds), ``a_one_norm`` and every ``ColumnBuildRecord``
 field to one ``.npz`` file; for the small matrices it also writes the
 ``quality_report`` of every build and the ``verify_drop_guarantees`` checks
 of the diagnostics cases. ``compare`` lists the configurations whose arrays
-differ in any bit between two such files. From the repository root:
+differ in any bit between two such files; a differing quality row is named by
+the ``QualityReport`` fields that differ, as in ``quality[nonsingular,
+pivot_min]``. From the repository root:
 
     python3 tools/compare_builds.py run --src <checkout>/src --out before.npz
     python3 tools/compare_builds.py run --src src --out after.npz
@@ -70,9 +72,22 @@ ROOT = Path(__file__).resolve().parents[1]
 RECORD_FIELDS = ("k", "loops_used", "pre_drop_residual", "post_drop_residual", "nnz_final",
                  "met_accuracy", "rank_flag", "guard_flag", "stalled", "tol_min", "tol_max")
 RESIDUALS = ("pre_drop_residual", "post_drop_residual")
-RESIDUAL_NORM, STRUCT_COUNTS = 3, {4, 5}  # quality row: ||A M - I||_1, then p and p_d
+# QualityReport's fields in the order of a stored quality row; the last one
+# fills the rest of the row, one entry per column
+QUALITY_FIELDS = ("r_max", "coln", "spar", "am_minus_i_one_norm", "p", "p_d", "nonsingular",
+                  "pivot_min", "per_column_residuals")
+RESIDUAL_NORM = QUALITY_FIELDS.index("am_minus_i_one_norm")
+STRUCT_COUNTS = {QUALITY_FIELDS.index("p"), QUALITY_FIELDS.index("p_d")}
 GUARD_TIE = 1e-10  # a guard gap below this, relative to the column's scale, is a tie or noise
 TOLERANCES = ("tol_min", "tol_max")
+
+
+def _quality_label(differs: np.ndarray) -> str:
+    """``quality[<field>, ...]``, naming the fields of a quality row at whose
+    entries the mask ``differs`` is set."""
+    last = len(QUALITY_FIELDS) - 1
+    named = sorted({min(int(i), last) for i in np.flatnonzero(differs)})
+    return f"quality[{', '.join(QUALITY_FIELDS[i] for i in named)}]"
 
 
 def _small_matrix(rng, case: int):
@@ -266,6 +281,9 @@ def cmd_compare(first: Path, second: Path, rtol: float | None = None) -> int:
                 and a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes())
         if not same:
             name, label, what = key.split("/")
+            if what == "quality" and key in a and key in b and a[key].shape == b[key].shape \
+                    and a[key].dtype == b[key].dtype == np.float64:
+                what = _quality_label(a[key].view(np.uint64) != b[key].view(np.uint64))
             differ.setdefault(f"{name}/{label}", []).append(what)
     builds = len({k.rsplit("/", 1)[0] for k in keys})
     for build, fields in sorted(differ.items()):
@@ -384,7 +402,7 @@ def _extras_apart(a: dict, b: dict, build: str, rtol: float) -> list:
             if max(norms) <= rtol:
                 cause = (f"p/p_d count entries of A M - I above 1e-14, and ||A M - I||_1 "
                          f"is at most {max(norms):.3g}")
-        out.append((what, cause))
+        out.append((_quality_label(apart) if what == "quality" else what, cause))
     return out
 
 

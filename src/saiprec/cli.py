@@ -299,6 +299,15 @@ def _matrices(spec: ExperimentSpec):
     return ((name, load_matrix_market(path)) for name, path in zip(names, spec.matrices))
 
 
+def _nonempty(spec: ExperimentSpec):
+    """:func:`_matrices` for the runs that report M's density nnz(M) / nnz(A):
+    a matrix with no entries stops the run before it is built."""
+    for path, (name, A) in zip(spec.matrices, _matrices(spec)):
+        if A.nnz == 0:
+            raise SystemExit(f"{path}: the matrix has no entries, so there is nothing to build")
+        yield name, A
+
+
 def _drop_label(params: SaiParams) -> str:
     """The ``--drop`` text of ``params`` (build and solve leave drop_scale at 1)."""
     return f"fixed:{params.tol:g}" if params.drop_mode == "fixed" else params.drop_mode
@@ -353,7 +362,7 @@ def _by_family(A, M, solvers):
 
 def cmd_build(spec: ExperimentSpec) -> int:
     sai, label = spec.sai, _drop_label(spec.sai)
-    for name, A in _matrices(spec):
+    for name, A in _nonempty(spec):
         P = build_preconditioner(A, sai, threads=spec.threads)
         nonsingular, pivot_min = check_nonsingular(P.M)
         _write_csv(spec.out / f"{name}_build.csv", BUILD_HEADER, [[
@@ -409,7 +418,7 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     if not cells:
         raise SystemExit("empty sweep: give --scalings or --fixed-tols")
     rows = []
-    for name, A in _matrices(spec):
+    for name, A in _nonempty(spec):
         for mode, value, sai in cells:
             P = build_preconditioner(A, sai, threads=spec.threads)
             reports = _by_family(A, P, spec.solvers)
@@ -434,7 +443,7 @@ def cmd_static(spec: ExperimentSpec) -> int:
     # static builds are right-side: A M ~ I
     solvers = [dataclasses.replace(params, side="right") for params in spec.solvers]
     rows = []
-    for name, A in _matrices(spec):
+    for name, A in _nonempty(spec):
         for kind, power in spec.patterns:
             t0 = time.perf_counter()
             pattern = make_pattern(A, kind, power)

@@ -17,10 +17,11 @@ the least-squares state, which it releases when the column stops growing.
 
 Whether a build drops is one rule, ``SaiParams.drops``: a fixed tolerance,
 or the adaptive criterion eps / (nnz(m_k) * ||A||_1) with a nonzero
-``drop_scale``. A dropping build removes small entries after each solve
-(the block is sliced, not factored); the adaptive criterion keeps the
-dropped mass small enough that a column meeting the accuracy target eps
-still satisfies ||A m_d - e_k||_2 <= 2 eps after dropping. The per-column
+``drop_scale``. A dropping build removes small entries after each level's
+solves in one ``_drop_mask`` pass, shared with the static postfilter (blocks
+are sliced, not factored); the adaptive criterion keeps the dropped mass
+small enough that a column meeting the accuracy target eps still satisfies
+||A m_d - e_k||_2 <= 2 eps after dropping. The per-column
 entry points ``bpsai_column`` and ``psai_tol_column`` run the same kernel on
 a block of one column. Everything around the columns (the checks on A, the
 fan-out of the blocks, the assembly of M and the report) is written once,
@@ -162,15 +163,29 @@ class Preconditioner:
         return min(lows), max(highs)
 
 
-def adaptive_drop_tolerance(epsilon: float, nnz_mk: int, a_one_norm: float) -> float:
-    """Adaptive dropping tolerance eps / (nnz(m_k) * ||A||_1)."""
+def adaptive_drop_tolerance(epsilon: float, nnz_mk, a_one_norm: float):
+    """Adaptive dropping tolerance eps / (nnz(m_k) * ||A||_1), one per count."""
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
-    if nnz_mk < 1:
+    if np.any(np.asarray(nnz_mk) < 1):
         raise ValueError("nnz_mk must be at least 1")
-    if not a_one_norm > 0.0:
-        raise ValueError("a_one_norm must be positive")
+    if not 0.0 < a_one_norm < np.inf:
+        raise ValueError("a_one_norm must be positive and finite")
     return epsilon / (nnz_mk * a_one_norm)
+
+
+def _drop_mask(values: np.ndarray, counts: np.ndarray, threshold):
+    """``(keep, guard)`` for columns of ``counts`` entries (zero allowed) stored
+    one after another: an entry at or below its column's ``threshold`` (one
+    per column, or a scalar) in magnitude is dropped, but a column that would
+    lose every entry keeps its largest (the first of equal ones), flagged."""
+    magnitude = np.abs(values)
+    keep = magnitude > np.repeat(np.broadcast_to(threshold, counts.shape), counts)
+    ptr = np.concatenate(([0], np.cumsum(counts)))
+    guard = (counts > 0) & (np.diff(np.concatenate(([0], np.cumsum(keep)))[ptr]) == 0)
+    for lo, hi in zip(ptr[:-1][guard].tolist(), ptr[1:][guard].tolist()):
+        keep[lo + np.argmax(magnitude[lo:hi])] = True
+    return keep, guard
 
 
 def _power_steps(A: SparseMatrix, V):
@@ -201,11 +216,11 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
     steps from one sparse product, the new indices from one 2-D reached
     mask (column by index), the grown patterns from one keyed sort and all
     their blocks A(R, S) from one ``_gather_blocks`` call, as the first
-    solves on the patterns {k} take theirs. Each grown column then solves,
-    and drops if ``params.drops``, on its own least-squares state; with
-    ``a_one_norm`` None (the plain builder) no column drops. Every drop step
-    keeps the column's largest entry (the guard). Returns the hand-off of
-    each column, in order."""
+    solves on the patterns {k} take theirs. Each grown column then solves on
+    its own least-squares state, and if ``params.drops`` one ``_drop_mask``
+    pass drops from all of them, each keeping at least its largest entry
+    (the guard); with ``a_one_norm`` None (the plain builder) no column
+    drops. Returns the hand-off of each column, in order."""
     ks = np.asarray(ks, dtype=np.int64)
     n, eps = A.ncols, params.epsilon
     drops = a_one_norm is not None and params.drops
@@ -254,26 +269,29 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
         grown = active[grew]
         if grown.size == 0:
             continue
-        supports = _merged_supports([states[slot].support for slot in grown.tolist()], new,
+        level = [states[slot] for slot in grown.tolist()]
+        supports = _merged_supports([state.support for state in level], new,
                                     (ends - starts)[grew], n)
         blocks = _gather_blocks(A, supports, ks[grown])
-        for slot, lo, hi, support, block in zip(grown.tolist(), starts[grew].tolist(),
-                                                 ends[grew].tolist(), supports, blocks):
-            state = states[slot]
+        for state, lo, hi, support, block in zip(level, starts[grew].tolist(),
+                                                  ends[grew].tolist(), supports, blocks):
             state.augment(new[lo:hi], (support, *block))
-            residual[slot] = state.residual_norm
-            if not drops:
-                continue
-            solution = state.solution
-            tols[slot].append(adaptive_drop_tolerance(eps, solution.size, a_one_norm))
-            threshold = (params.drop_scale * tols[slot][-1] if params.drop_mode == "adaptive"
-                         else params.tol)
-            small = np.abs(solution) <= threshold
-            if small.all():
-                small[int(np.argmax(np.abs(solution)))] = False
-                guard[slot] = True
-            if small.any():
-                state.shrink(state.support[small])
+        residual[grown] = [state.residual_norm for state in level]
+        if not drops:
+            continue
+        solutions = [state.solution for state in level]
+        counts = np.array([solution.size for solution in solutions])
+        level_tols = adaptive_drop_tolerance(eps, counts, a_one_norm)
+        for slot, tol in zip(grown.tolist(), level_tols.tolist()):
+            tols[slot].append(tol)
+        threshold = (params.drop_scale * level_tols if params.drop_mode == "adaptive"
+                     else params.tol)
+        kept, flagged = _drop_mask(np.concatenate(solutions), counts, threshold)
+        guard[grown] |= flagged  # a column flagged at any level stays flagged
+        at = np.cumsum(counts) - counts  # where each solution starts
+        for i in np.flatnonzero(np.logical_or.reduceat(~kept, at)).tolist():
+            state = level[i]
+            state.shrink(state.support[~kept[at[i]:at[i] + counts[i]]])
 
 
 def _column_result(state: ColumnLeastSquares, k: int, **fields):
@@ -301,10 +319,13 @@ def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):
 def psai_tol_column(A: SparseMatrix, k: int, params: SaiParams, a_one_norm: float):
     """One column of the dropping builder (adaptive or fixed tolerance), in the
     form :func:`bpsai_column` returns; ``params`` must drop
-    (:attr:`SaiParams.drops`)."""
+    (:attr:`SaiParams.drops`) and ``a_one_norm`` positive and finite, or 0
+    for an A with no entries, on which no drop step runs."""
     if not params.drops:
         raise ValueError("psai_tol_column needs params that drop: drop_mode 'fixed', "
                          "or 'adaptive' with drop_scale above 0")
+    if not (0.0 < a_one_norm < np.inf or (a_one_norm == 0.0 and A.nnz == 0)):
+        raise ValueError("a_one_norm must be positive and finite")
     return _single_column(A, k, a_one_norm, params)
 
 

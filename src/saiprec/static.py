@@ -4,9 +4,10 @@ The envelope patterns are the structures of (I+A)^k, (I+|A|+|A^T|)^k A^T and
 (A^T A)^k A^T. Each column solves its least-squares problem once on the fixed
 pattern, through ``psai._build_columns``, which runs the columns a block at a
 time; the blocks A(R, S) of a block's columns come from one
-``core._gather_blocks`` call. Postfiltration afterwards drops entries below
-max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column of a right-side M, where
-eps_k is that column's achieved residual norm.
+``core._gather_blocks`` call. Postfiltration afterwards drops entries at or
+below max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column of a right-side M,
+where eps_k is that column's achieved residual norm, by the rule and guard
+of the adaptive builder (``psai._drop_mask``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import scipy.sparse as sp
 from .core import SparseMatrix, _gather_blocks
 from .diagnostics import _column_norms, _residual_matrix
 from .lsq import ColumnLeastSquares
-from .psai import Preconditioner, _build_columns, _column_result
+from .psai import Preconditioner, _build_columns, _column_result, _drop_mask
 
 PATTERN_KINDS = ("iplusa", "abs", "normal")
 
@@ -121,14 +122,9 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
     M = P.M
     counts = M.column_nnz()
     eps = np.maximum([rec.pre_drop_residual for rec in P.records], floor)
-    tol = eps / (np.maximum(counts, 1) * P.a_one_norm)
-    magnitude = np.abs(M.values)
-    keep = magnitude > np.repeat(tol, counts)
-    kept_before = np.concatenate(([0], np.cumsum(keep)))[M.col_ptr]
-    guard = (counts > 0) & (np.diff(kept_before) == 0)
-    for k in np.flatnonzero(guard):
-        lo, hi = M.col_ptr[k], M.col_ptr[k + 1]
-        keep[lo + np.argmax(magnitude[lo:hi])] = True
+    with np.errstate(divide="ignore"):  # ||A||_1 = 0: every tolerance is inf
+        tol = eps / (np.maximum(counts, 1) * P.a_one_norm)
+    keep, guard = _drop_mask(M.values, counts, tol)
     col_ptr = np.concatenate(([0], np.cumsum(keep)))[M.col_ptr]
     M_d = SparseMatrix(M.nrows, M.ncols, col_ptr, M.row_idx[keep], M.values[keep])
     residuals = _column_norms(_residual_matrix(A, M_d))

@@ -307,6 +307,20 @@ def test_two_methods_of_one_family_stop_before_loading(tmp_path, command, method
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["build", "sweep", "static"])
+def test_matrix_without_entries_stops_before_building(tmp_path, monkeypatch, command):
+    # nnz(A) = 0 leaves M's density nnz(M) / nnz(A) undefined
+    path = tmp_path / "zero.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n3 3 0\n")
+    built = []
+    monkeypatch.setattr("saiprec.cli.build_preconditioner", built.append)
+    monkeypatch.setattr("saiprec.cli.static_build", built.append)
+    with pytest.raises(SystemExit, match=f"{re.escape(str(path))}: the matrix has no entries"):
+        main([command, "--matrix", str(path), "--out", str(tmp_path / "out"),
+              *(["--scalings", "1"] if command == "sweep" else [])])
+    assert built == []
+
+
 @pytest.mark.parametrize("command", ["build", "solve", "sweep", "static"])
 @pytest.mark.parametrize("names", [("a/m.mtx", "b/m.mtx"), ("m.mtx", "m.mtx.gz")])
 def test_matrices_sharing_a_name_stop_before_loading(demo_matrix, tmp_path, monkeypatch,

@@ -46,6 +46,18 @@ class TestAdaptiveDropTolerance:
         with pytest.raises(ValueError):
             adaptive_drop_tolerance(0.2, 1, np.nan)
 
+    def test_rejects_infinite_norm(self):
+        # an infinite norm would make every tolerance 0 and drop nothing
+        with pytest.raises(ValueError, match="a_one_norm must be positive and finite"):
+            adaptive_drop_tolerance(0.2, 1, np.inf)
+
+    def test_array_of_counts(self):
+        counts = np.array([1, 3, 7])
+        tols = adaptive_drop_tolerance(0.2, counts, 1.7)
+        assert tols.tolist() == [adaptive_drop_tolerance(0.2, int(c), 1.7) for c in counts]
+        with pytest.raises(ValueError, match="nnz_mk must be at least 1"):
+            adaptive_drop_tolerance(0.2, np.array([2, 0]), 1.7)
+
 
 class TestSaiParams:
     @pytest.mark.parametrize("kwargs, message", [
@@ -131,6 +143,27 @@ class TestPsaiTolColumn:
         assert not params.drops
         with pytest.raises(ValueError, match="psai_tol_column needs"):
             psai_tol_column(A, 0, params, A.one_norm())
+
+    @pytest.mark.parametrize("a_one_norm", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_one_norm_rejected_at_entry(self, a_one_norm):
+        # every column of a diagonal A is exact on {k}, so no drop step runs
+        # and only a check at entry sees the norm
+        A = SparseMatrix.from_dense(np.diag([2.0, 3.0, 4.0]))
+        with pytest.raises(ValueError, match="a_one_norm must be positive and finite"):
+            psai_tol_column(A, 1, SaiParams(epsilon=0.3, l_max=5), a_one_norm)
+
+    def test_infinite_one_norm_rejected_on_a_growing_column(self):
+        # a tridiagonal column grows and drops; an infinite norm would give
+        # it the tolerance 0 (tol_min 0.0) instead of an error
+        A = SparseMatrix.from_dense(np.eye(4) * 4.0 + np.eye(4, k=1) + np.eye(4, k=-1))
+        with pytest.raises(ValueError, match="a_one_norm must be positive and finite"):
+            psai_tol_column(A, 1, SaiParams(epsilon=0.05, l_max=5), np.inf)
+
+    def test_zero_one_norm_of_a_matrix_without_entries(self):
+        A = SparseMatrix.from_dense(np.zeros((3, 3)))
+        (support, values), rec = psai_tol_column(A, 1, SaiParams(epsilon=0.3, l_max=5), 0.0)
+        assert rec.stalled and rec.tol_min is None
+        assert not values.any()
 
     def test_identity_matches_bpsai(self):
         A = SparseMatrix.identity(5)

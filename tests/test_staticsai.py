@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,18 @@ class TestPostfilter:
         F = postfilter(A, P, floor=0.1)
         idx, vals = F.M.column(1)
         assert idx.tolist() == [1]
+
+
+    def test_all_zero_matrix_filters_without_warning(self):
+        # ||A||_1 = 0: every tolerance is inf, and M_d stays empty
+        A = SparseMatrix.from_dense(np.zeros((3, 3)))
+        P = static_build(A, make_pattern(A, "iplusa", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = postfilter(A, P)
+        assert P.a_one_norm == 0.0 and F.M.nnz == 0
+        assert [(r.tol_min, r.tol_max, r.guard_flag) for r in F.records] == [
+            (np.inf, np.inf, False)] * 3
 
 
 class TestPostfilterGuard:

@@ -315,7 +315,7 @@ def _drop_label(params: SaiParams) -> str:
 
 BUILD_HEADER = [
     "matrix", "n", "nnz", "eps", "lmax", "drop", "side", "spar", "r_max",
-    "r_max_post", "coln", "mintol", "maxtol", "nonsingular", "pivot_min", "ptime",
+    "r_max_post", "coln", "mintol", "maxtol", "nonsingular", "rcond", "ptime",
 ]
 COLUMNS_HEADER = ["k", "pre_drop", "post_drop", "nnz", "loops", "drop"]
 SOLVE_HEADER = [
@@ -364,11 +364,11 @@ def cmd_build(spec: ExperimentSpec) -> int:
     sai, label = spec.sai, _drop_label(spec.sai)
     for name, A in _nonempty(spec):
         P = build_preconditioner(A, sai, threads=spec.threads)
-        nonsingular, pivot_min = check_nonsingular(P.M)
+        nonsingular, rcond = check_nonsingular(P.M)
         _write_csv(spec.out / f"{name}_build.csv", BUILD_HEADER, [[
             name, A.nrows, A.nnz, sai.epsilon, sai.l_max, label, sai.side,
             P.spar, P.r_max, P.r_max_post, P.coln(sai.epsilon), *P.tol_range(),
-            nonsingular, pivot_min, P.build_time,
+            nonsingular, rcond, P.build_time,
         ]])
         _write_csv(spec.out / f"{name}_columns.csv", COLUMNS_HEADER, [
             [r.k, r.pre_drop_residual, r.post_drop_residual, r.nnz_final, r.loops_used, label]

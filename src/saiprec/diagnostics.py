@@ -26,7 +26,7 @@ class QualityReport:
     p: int
     p_d: int
     nonsingular: bool
-    pivot_min: float
+    rcond: float
     per_column_residuals: np.ndarray
 
 
@@ -86,16 +86,17 @@ def _inverse_one_norm(lu, n: int) -> float:
 
 
 def check_nonsingular(M: SparseMatrix):
-    """``(nonsingular, pivot_min)`` of a square M from one sparse LU.
+    """``(nonsingular, rcond)`` of a square M from one sparse LU.
 
-    M is called numerically nonsingular iff rcond_1 = 1 / (||M||_1 *
-    est ||M^-1||_1) > n*eps, with ||M^-1||_1 estimated from the LU's solves.
-    That verdict does not depend on SuperLU's column ordering, so the
-    ordering is chosen for speed from M's structure: ``MMD_AT_PLUS_A`` for a
-    structurally symmetric pattern, ``COLAMD`` otherwise. ``pivot_min``, the
-    smallest |pivot| of U, is reported for continuity with earlier results;
-    it depends on the ordering. An empty row or column, an exactly singular
-    factor, or a non-finite pivot or estimate gives ``(False, 0.0)``.
+    M is called numerically nonsingular iff rcond = 1 / (||M||_1 *
+    est ||M^-1||_1) > n*eps, with ||M^-1||_1 estimated from the LU's solves;
+    the estimate is a lower bound (up to rounding), so rcond is at least the
+    true 1-norm reciprocal condition number. The verdict does not depend on
+    SuperLU's column ordering, so the ordering is chosen for speed from M's
+    structure: ``MMD_AT_PLUS_A`` for a structurally symmetric pattern,
+    ``COLAMD`` otherwise. Only the factor's solves are read, never L or U.
+    An empty row or column, an exactly singular factor, or a non-finite
+    estimate gives ``(False, 0.0)``.
     """
     if M.nrows != M.ncols:
         raise ValueError("square matrix required")
@@ -110,14 +111,11 @@ def check_nonsingular(M: SparseMatrix):
         lu = splu(S, permc_spec="MMD_AT_PLUS_A" if symmetric else "COLAMD")
     except RuntimeError:
         return False, 0.0
-    pivot_min = float(np.min(np.abs(lu.U.diagonal())))
-    if not np.isfinite(pivot_min):
-        return False, 0.0
     inverse_norm = _inverse_one_norm(lu, M.nrows)
     if not np.isfinite(inverse_norm):
         return False, 0.0
     rcond = 1.0 / (M.one_norm() * inverse_norm)
-    return bool(rcond > M.nrows * _EPS), pivot_min
+    return bool(rcond > M.nrows * _EPS), rcond
 
 
 def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,
@@ -134,7 +132,7 @@ def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,
     if reference is not None:
         M_ref = reference.M.transpose() if reference.side == "left" else reference.M
         p = _column_pass(_residual_matrix(operand, M_ref))[3]
-    nonsingular, pivot_min = check_nonsingular(P.M)
+    nonsingular, rcond = check_nonsingular(P.M)
     return QualityReport(
         r_max=P.r_max,
         coln=P.coln(epsilon),
@@ -143,7 +141,7 @@ def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,
         p=p,
         p_d=p_d,
         nonsingular=nonsingular,
-        pivot_min=pivot_min,
+        rcond=rcond,
         per_column_residuals=per_column,
     )
 
@@ -177,11 +175,11 @@ def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
     hyp1 = res_norm <= epsilon < 1.0 and f_norm < (1.0 - epsilon) / a_norm
     bound2 = min(epsilon, 1.0 - epsilon) / a_norm
     hyp2 = res_norm <= epsilon < 1.0 and f_norm <= bound2
-    nonsing, pivot_min = check_nonsingular(M_d) if hyp1 or hyp2 else (None, None)
+    nonsing, rcond = check_nonsingular(M_d) if hyp1 or hyp2 else (None, None)
     passed1, passed2 = None, None
     details1 = {"am_minus_i_1": res_norm, "f_1": f_norm, "bound": (1.0 - epsilon) / a_norm}
     if hyp1:
-        passed1, details1["pivot_min"] = nonsing, pivot_min
+        passed1, details1["rcond"] = nonsing, rcond
     details2 = {"f_1": f_norm, "bound": bound2}
     if hyp2:
         passed2 = bool(rd_norm <= min(1.0, 2.0 * epsilon) + 1e-12) and nonsing

@@ -139,7 +139,8 @@ class Preconditioner:
 
     @property
     def spar(self) -> float:
-        return self.M.nnz / self.a_nnz
+        """nnz(M) / nnz(A); nan for an A with no entries (0/0 has no density)."""
+        return self.M.nnz / self.a_nnz if self.a_nnz else float("nan")
 
     @property
     def r_max(self) -> float:

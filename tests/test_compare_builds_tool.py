@@ -29,10 +29,10 @@ def identity_build(quality) -> dict:
 def test_compare_names_the_differing_quality_fields(tmp_path, capsys, rtol):
     row = [0.0, 0, 1.0, 0.0, 0, 0, 1.0, 1.0, 0.0, 0.0]
     moved = row.copy()
-    moved[6], moved[7], moved[9] = 0.0, 0.5, 1e-3  # nonsingular, pivot_min, one column
+    moved[6], moved[7], moved[9] = 0.0, 0.5, 1e-3  # nonsingular, rcond, one column
     first, second = tmp_path / "a.npz", tmp_path / "b.npz"
     np.savez(first, **identity_build(row))
     np.savez(second, **identity_build(moved))
     assert compare_builds.cmd_compare(first, second, rtol) == 1
-    assert "quality[nonsingular, pivot_min, per_column_residuals]" in capsys.readouterr().out
+    assert "quality[nonsingular, rcond, per_column_residuals]" in capsys.readouterr().out
     assert compare_builds.cmd_compare(first, first, rtol) == 0

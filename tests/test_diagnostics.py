@@ -71,13 +71,39 @@ class TestCheckNonsingular:
         dense = np.eye(40) * 10.0 + rng.uniform(-1.0, 1.0, (40, 40)) * (rng.random((40, 40)) < 0.1)
         M = SparseMatrix.from_dense(dense)
         assert np.linalg.cond(dense) < 10.0
-        ok, pivot = check_nonsingular(M)
-        assert ok and pivot > 1.0
+        ok, rcond = check_nonsingular(M)
+        assert ok and dense_rcond(dense) * (1.0 - 1e-9) <= rcond <= 3.0 * dense_rcond(dense)
 
     def test_flag_is_python_bool(self):
         # the CLI writes Python bools as 1/0; a numpy.bool_ would print True/False
         for M in (SparseMatrix.identity(3), SparseMatrix.from_dense(np.diag([1.0, 1e-18]))):
             assert isinstance(check_nonsingular(M)[0], bool)
+
+    def test_factors_are_never_read(self, monkeypatch):
+        # the verdict and rcond come from the factor's solves alone
+        class SolvesOnly:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+            def __getattr__(self, name):
+                raise AssertionError(f"check_nonsingular read lu.{name}")
+
+        singular = np.random.default_rng(3).uniform(1.0, 2.0, size=(6, 6))
+        singular[:, 4] = singular[:, 1]
+        cases = [convection_diffusion_2d(6), SparseMatrix.from_dense(singular)]
+        expected = [check_nonsingular(M) for M in cases]
+        monkeypatch.setattr("saiprec.diagnostics.splu",
+                            lambda S, **kw: SolvesOnly(splu(S, **kw)))
+        assert [check_nonsingular(M) for M in cases] == expected
+
+    def test_non_finite_solves_are_singular(self, monkeypatch):
+        class NanSolves:
+            def solve(self, b, trans="N"):
+                return np.full(np.shape(b), np.nan)
+
+        monkeypatch.setattr("saiprec.diagnostics.splu", lambda S, **kw: NanSolves())
+        for m in (1, 4):  # n = 1 takes the exact norm, n = 16 the estimate
+            assert check_nonsingular(convection_diffusion_2d(m)) == (False, 0.0)
 
     def test_global_random_state_is_left_alone(self):
         # the norm estimator draws from numpy's global generator
@@ -103,6 +129,11 @@ def convection_diffusion_2d(m: int) -> SparseMatrix:
     structurally symmetric pattern with unsymmetric values."""
     T = sp.diags([-1.3, 2.0, -0.7], [-1, 0, 1], shape=(m, m))
     return SparseMatrix.from_scipy(sp.kron(sp.identity(m), T) + sp.kron(T, sp.identity(m)))
+
+
+def dense_rcond(dense: np.ndarray) -> float:
+    """1 / (||M||_1 ||M^-1||_1) of a dense nonsingular M."""
+    return 1.0 / (np.linalg.norm(dense, 1) * np.linalg.norm(np.linalg.inv(dense), 1))
 
 
 def svd_ratio(M: SparseMatrix) -> float:
@@ -178,6 +209,26 @@ def test_verdict_matches_the_svd_away_from_the_threshold(n, seed, density, decad
     ratio = svd_ratio(M)
     assume(not n * EPS / 1e3 < ratio < n * EPS * 1e3)
     assert check_nonsingular(M)[0] is bool(ratio > n * EPS)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(n=st.integers(4, 24), seed=st.integers(0, 2**32 - 1), density=st.floats(0.2, 0.8),
+       decades=st.integers(0, 7), combined=st.booleans())
+def test_rcond_brackets_the_dense_value(n, seed, density, decades, combined):
+    # the estimate of ||M^-1||_1 never overstates it, so rcond is never
+    # below the dense value, up to the rounding of both inverses (about
+    # n * cond * eps relative); on these draws it stays within a factor of 3
+    rng = np.random.default_rng(seed)
+    dense = random_sparse(rng, n, density, diag_boost=2.0).to_dense()
+    mix = dense[:, :-1] @ rng.standard_normal(n - 1)
+    dense[:, -1] = combined * mix + 10.0 ** -decades * rng.standard_normal(n)
+    M = SparseMatrix.from_dense(dense)
+    assume(M.column_nnz().all() and np.bincount(M.row_idx, minlength=n).all())
+    cond = np.linalg.cond(dense, 1)
+    assume(cond < 1e8)
+    ok, rcond = check_nonsingular(M)
+    slack = 1e-9 + n * cond * EPS
+    assert ok and dense_rcond(dense) * (1.0 - slack) <= rcond <= 3.0 * dense_rcond(dense)
 
 
 class TestQualityReport:

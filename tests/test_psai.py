@@ -412,6 +412,13 @@ BUILDERS = {
 }
 
 
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_spar_of_an_all_zero_matrix_is_nan(builder):
+    # 0/0 has no density; the build itself succeeds with an empty M
+    P = BUILDERS[builder](SparseMatrix.from_dense(np.zeros((3, 3))))
+    assert P.M.nnz == 0 and np.isnan(P.spar)
+
+
 class TestFloatingPointRange:
     """Builds at the ends of the double range: no spurious flags, and a
     column whose solution overflows is named."""

@@ -9,7 +9,7 @@ field to one ``.npz`` file; for the small matrices it also writes the
 of the diagnostics cases. ``compare`` lists the configurations whose arrays
 differ in any bit between two such files; a differing quality row is named by
 the ``QualityReport`` fields that differ, as in ``quality[nonsingular,
-pivot_min]``. From the repository root:
+rcond]``. From the repository root:
 
     python3 tools/compare_builds.py run --src <checkout>/src --out before.npz
     python3 tools/compare_builds.py run --src src --out after.npz
@@ -75,7 +75,7 @@ RESIDUALS = ("pre_drop_residual", "post_drop_residual")
 # QualityReport's fields in the order of a stored quality row; the last one
 # fills the rest of the row, one entry per column
 QUALITY_FIELDS = ("r_max", "coln", "spar", "am_minus_i_one_norm", "p", "p_d", "nonsingular",
-                  "pivot_min", "per_column_residuals")
+                  "rcond", "per_column_residuals")
 RESIDUAL_NORM = QUALITY_FIELDS.index("am_minus_i_one_norm")
 STRUCT_COUNTS = {QUALITY_FIELDS.index("p"), QUALITY_FIELDS.index("p_d")}
 GUARD_TIE = 1e-10  # a guard gap below this, relative to the column's scale, is a tie or noise

@@ -15,6 +15,9 @@ from .psai import Preconditioner
 _EPS = np.finfo(np.float64).eps
 _STRUCT_TOL = 1e-14  # entries at or below this count as structural zeros
 _DENSE_INVERSE_LIMIT = 400  # error-norm checks use a dense inverse up to here
+# check_nonsingular's LUs: SuperLU's symmetric mode, then partial pivoting
+_FACTORIZATIONS = (dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.01,
+                        options={"SymmetricMode": True}), dict(permc_spec="COLAMD"))
 
 
 @dataclass
@@ -69,34 +72,43 @@ def _column_pass(S):
     return float(np.max(ones, initial=0.0)), ones, _column_norms(S), int(np.max(counts, initial=0))
 
 
-def _inverse_one_norm(lu, n: int) -> float:
-    """Hager-Higham block estimate (Higham & Tisseur, 2000) of ||M^-1||_1 from
-    the LU of M. ``onenormest`` draws its second starting column from numpy's
-    global generator; it is seeded here and the caller's state put back, so
-    the estimate is reproducible and the caller's stream is left alone."""
-    inverse = LinearOperator((n, n), matvec=lu.solve, matmat=lu.solve, dtype=np.float64,
+def _inverse_one_norm(S, norm: float, **factor):
+    """``(est, eta)`` from one LU of M = S with the ``splu`` options ``factor``:
+    the Hager-Higham estimate (Higham & Tisseur, 2000) of ||M^-1||_1 from the
+    LU's solves, and the backward error eta = ||M w - v||_1 / (||M||_1 ||w||_1
+    + ||v||_1), with ||M||_1 = ``norm``, of the solve w = M^-1 v it rests on.
+    ``onenormest``'s random column is seeded and the caller's numpy state put
+    back. Raises RuntimeError when SuperLU finds M exactly singular."""
+    lu = splu(S, **factor)
+    inverse = LinearOperator(S.shape, matvec=lu.solve, matmat=lu.solve, dtype=np.float64,
                              rmatvec=lambda x: lu.solve(x, trans="T"),
                              rmatmat=lambda X: lu.solve(X, trans="T"))
     state = np.random.get_state()
     np.random.seed(0)
     try:
-        return float(onenormest(inverse))
+        est, v, w = onenormest(inverse, compute_v=True, compute_w=True)
     finally:
         np.random.set_state(state)
+    return float(est), np.abs(S @ w - v).sum() / (norm * np.abs(w).sum() + np.abs(v).sum())
 
 
 def check_nonsingular(M: SparseMatrix):
-    """``(nonsingular, rcond)`` of a square M from one sparse LU.
+    """``(nonsingular, rcond)`` of a square M from its sparse LU.
 
     M is called numerically nonsingular iff rcond = 1 / (||M||_1 *
     est ||M^-1||_1) > n*eps, with ||M^-1||_1 estimated from the LU's solves;
     the estimate is a lower bound (up to rounding), so rcond is at least the
     true 1-norm reciprocal condition number. The verdict does not depend on
-    SuperLU's column ordering, so the ordering is chosen for speed from M's
-    structure: ``MMD_AT_PLUS_A`` for a structurally symmetric pattern,
-    ``COLAMD`` otherwise. Only the factor's solves are read, never L or U.
-    An empty row or column, an exactly singular factor, or a non-finite
-    estimate gives ``(False, 0.0)``.
+    the LU's pivot order, so M is factored for speed in SuperLU's symmetric
+    mode (``MMD_AT_PLUS_A``, diagonal pivots down to 0.01 of their column).
+    That pivoting has no growth bound: if it raises, the estimate is not
+    finite, or the backward error of the estimate's solve exceeds 10*n*eps,
+    M is refactored once with ``COLAMD`` and partial pivoting, and that
+    result is final. A solve from an LU whose factors did not grow has a
+    backward error of at most about 3*n*eps (Higham 2002, Thm. 9.4), so
+    10*n*eps leaves room for modest growth only. Only the factor's solves
+    are read, never L or U. An empty row or column, an exactly singular
+    factor, or a non-finite estimate gives ``(False, 0.0)``.
     """
     if M.nrows != M.ncols:
         raise ValueError("square matrix required")
@@ -104,17 +116,17 @@ def check_nonsingular(M: SparseMatrix):
     # calls on some such matrices and can crash the process afterwards
     if M.nnz == 0 or not (M.column_nnz().all() and np.bincount(M.row_idx, minlength=M.nrows).all()):
         return False, 0.0
-    S = M.to_scipy()
-    T = S.T.tocsc()  # sorted indices, like S: equal index arrays mean a symmetric pattern
-    symmetric = np.array_equal(S.indptr, T.indptr) and np.array_equal(S.indices, T.indices)
-    try:
-        lu = splu(S, permc_spec="MMD_AT_PLUS_A" if symmetric else "COLAMD")
-    except RuntimeError:
-        return False, 0.0
-    inverse_norm = _inverse_one_norm(lu, M.nrows)
+    S, norm = M.to_scipy(), M.one_norm()
+    for factor in _FACTORIZATIONS:  # the second only when the first is not to be trusted
+        try:
+            inverse_norm, eta = _inverse_one_norm(S, norm, **factor)
+        except RuntimeError:
+            inverse_norm, eta = np.nan, np.nan
+        if np.isfinite(inverse_norm) and eta <= 10.0 * M.nrows * _EPS:
+            break
     if not np.isfinite(inverse_norm):
         return False, 0.0
-    rcond = 1.0 / (M.one_norm() * inverse_norm)
+    rcond = 1.0 / (norm * inverse_norm)
     return bool(rcond > M.nrows * _EPS), rcond
 
 
@@ -162,7 +174,7 @@ def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
     Each check reports the hypothesis and, when it holds, whether the
     conclusion holds; a failed hypothesis yields "not applicable", never a
     failed check. Each of A M - I, A M_d - I and F = M - M_d is reduced in
-    one column pass, and M_d is LU-factored at most once.
+    one column pass, and M_d is checked by ``check_nonsingular`` at most once.
     """
     a_norm = A.one_norm()
     f_norm, f_cols_1, _, _ = _column_pass((M.to_scipy() - M_d.to_scipy()).tocsc())

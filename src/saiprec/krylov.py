@@ -254,8 +254,8 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
     prev_beta = None
     stop = "max_iters"
 
-    for _cycle in range(params.max_iters):
-        r = ops.rhs - ops.op(x)
+    for cycle in range(params.max_iters):
+        r = ops.rhs - ops.op(x) if cycle else ops.rhs.copy()  # x = 0 in the first cycle
         beta = float(np.linalg.norm(r))
         if not math.isfinite(beta):
             stop = "non-finite"

@@ -1,5 +1,5 @@
 """tools/compare_builds.py: both compare modes name the fields of a quality
-row that differ, and keep their exit status."""
+row or a check_nonsingular row that differ, and keep their exit status."""
 
 import dataclasses
 
@@ -35,4 +35,16 @@ def test_compare_names_the_differing_quality_fields(tmp_path, capsys, rtol):
     np.savez(second, **identity_build(moved))
     assert compare_builds.cmd_compare(first, second, rtol) == 1
     assert "quality[nonsingular, rcond, per_column_residuals]" in capsys.readouterr().out
+    assert compare_builds.cmd_compare(first, first, rtol) == 0
+
+
+@pytest.mark.parametrize("rtol", [None, 1e-12])
+def test_compare_names_a_moved_nonsingularity_row(tmp_path, capsys, rtol):
+    # the benchmark-sized builds store check_nonsingular's (verdict, rcond)
+    row = [0.0, 0, 1.0, 0.0, 0, 0, 1.0, 1.0, 0.0, 0.0]
+    first, second = tmp_path / "a.npz", tmp_path / "b.npz"
+    np.savez(first, **identity_build(row), **{"x/M/check_nonsingular": np.array([1.0, 0.5])})
+    np.savez(second, **identity_build(row), **{"x/M/check_nonsingular": np.array([1.0, 0.25])})
+    assert compare_builds.cmd_compare(first, second, rtol) == 1
+    assert "check_nonsingular[rcond]" in capsys.readouterr().out
     assert compare_builds.cmd_compare(first, first, rtol) == 0

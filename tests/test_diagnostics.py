@@ -32,14 +32,14 @@ def shrink_to_bound(M_dense, bound_1norm):
 
 class TestCheckNonsingular:
     def test_identity(self):
-        ok, pivot = check_nonsingular(SparseMatrix.identity(6))
-        assert ok and pivot == pytest.approx(1.0)
+        ok, rcond = check_nonsingular(SparseMatrix.identity(6))
+        assert ok and rcond == pytest.approx(1.0)
 
     def test_zero_column_is_singular(self):
         A = SparseMatrix.from_coo(3, 3, [0, 1], [0, 1], [1.0, 1.0])
-        ok, pivot = check_nonsingular(A)
+        ok, rcond = check_nonsingular(A)
         assert not ok
-        assert pivot == 0.0
+        assert rcond == 0.0
 
     def test_nearly_singular(self):
         dense = np.eye(4)
@@ -63,8 +63,8 @@ class TestCheckNonsingular:
     def test_two_equal_columns_are_singular(self):
         dense = np.random.default_rng(3).uniform(1.0, 2.0, size=(6, 6))
         dense[:, 4] = dense[:, 1]
-        ok, pivot = check_nonsingular(SparseMatrix.from_dense(dense))
-        assert not ok and pivot <= 6 * np.finfo(float).eps * np.abs(dense).sum(axis=0).max()
+        ok, rcond = check_nonsingular(SparseMatrix.from_dense(dense))
+        assert not ok and rcond <= len(dense) * EPS
 
     def test_well_conditioned_random_matrix_is_nonsingular(self):
         rng = np.random.default_rng(4)
@@ -147,15 +147,29 @@ def forced_ordering(monkeypatch, ordering):
                         lambda S, permc_spec=None, **kw: splu(S, permc_spec=ordering, **kw))
 
 
-def recorded_orderings(monkeypatch) -> list:
+def recorded_orderings(monkeypatch, factor=splu) -> list:
+    """The ``permc_spec`` of every factorization check_nonsingular asks for,
+    each made by ``factor``."""
     seen = []
 
     def recording(S, permc_spec=None, **kw):
         seen.append(permc_spec)
-        return splu(S, permc_spec=permc_spec, **kw)
+        return factor(S, permc_spec=permc_spec, **kw)
 
     monkeypatch.setattr("saiprec.diagnostics.splu", recording)
     return seen
+
+
+def symmetric_mode(kw) -> bool:
+    return bool(kw.get("options", {}).get("SymmetricMode"))
+
+
+def convection_diffusion_patterns():
+    """The structurally symmetric 8 x 8-grid operator and the same with one
+    entry added above the diagonal, which makes its pattern unsymmetric."""
+    dense = convection_diffusion_2d(8).to_dense()
+    dense[0, 40] = 0.5
+    return {"symmetric": convection_diffusion_2d(8), "unsymmetric": SparseMatrix.from_dense(dense)}
 
 
 @pytest.fixture(scope="module")
@@ -185,12 +199,56 @@ class TestOrderingFreeVerdict:
         assert check_nonsingular(M)[0] is True
         assert seen == ["MMD_AT_PLUS_A"]
 
-    def test_unsymmetric_pattern_takes_colamd(self, monkeypatch):
-        dense = convection_diffusion_2d(8).to_dense()
-        dense[0, 40] = 0.5
-        seen = recorded_orderings(monkeypatch)
-        assert check_nonsingular(SparseMatrix.from_dense(dense))[0] is True
-        assert seen == ["COLAMD"]
+    @pytest.mark.parametrize("pattern", ["symmetric", "unsymmetric"])
+    def test_every_pattern_is_factored_once_in_symmetric_mode(self, monkeypatch, pattern):
+        M = convection_diffusion_patterns()[pattern]
+        calls = []
+
+        def recording(S, **kw):
+            calls.append(kw)
+            return splu(S, **kw)
+
+        monkeypatch.setattr("saiprec.diagnostics.splu", recording)
+        assert check_nonsingular(M)[0] is True
+        assert len(calls) == 1
+        assert calls[0]["permc_spec"] == "MMD_AT_PLUS_A" and symmetric_mode(calls[0])
+        assert calls[0]["diag_pivot_thresh"] <= 0.01
+
+    @pytest.mark.parametrize("pattern", ["symmetric", "unsymmetric"])
+    def test_an_inaccurate_symmetric_mode_solve_is_refactored(self, monkeypatch, pattern):
+        # diagonal pivoting has no growth bound; a solve with a relative error
+        # of 1e-6 has a backward error far above 10*n*eps
+        class Inaccurate:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b, trans="N"):
+                x = self.lu.solve(b, trans=trans)
+                return x + (1e-6 * np.cos(np.arange(len(x))) * x.T).T
+
+        def factor(S, **kw):
+            lu = splu(S, **kw)
+            return Inaccurate(lu) if symmetric_mode(kw) else lu
+
+        M = convection_diffusion_patterns()[pattern]
+        seen = recorded_orderings(monkeypatch, factor)
+        ok, rcond = check_nonsingular(M)
+        assert seen == ["MMD_AT_PLUS_A", "COLAMD"]
+        assert ok is bool(svd_ratio(M) > M.nrows * EPS)
+        dense = M.to_dense()
+        assert dense_rcond(dense) * (1.0 - 1e-9) <= rcond <= 3.0 * dense_rcond(dense)
+
+    def test_a_failed_symmetric_mode_factorization_is_retried(self, monkeypatch):
+        def factor(S, **kw):
+            if len(seen) == 1:  # the first call
+                raise RuntimeError("Factor is exactly singular")
+            return splu(S, **kw)
+
+        M = convection_diffusion_2d(8)
+        seen = recorded_orderings(monkeypatch, factor)
+        ok, rcond = check_nonsingular(M)
+        assert seen == ["MMD_AT_PLUS_A", "COLAMD"]
+        assert ok and rcond >= dense_rcond(M.to_dense()) * (1.0 - 1e-9)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)

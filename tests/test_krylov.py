@@ -114,6 +114,17 @@ class TestGmres:
         assert rep.iters == len(rep.residual_history)
         assert rep.iters > 3  # forced at least one restart
 
+    def test_no_product_at_the_initial_guess(self):
+        # the first cycle's residual at x = 0 is b itself; each inner step
+        # then takes one product with A and M, and the accepted iterate one more
+        rng = np.random.default_rng(19)
+        A = random_well_conditioned(rng, 12, density=0.5, cond_cap=1e3)
+        M = build_preconditioner(A, SaiParams(epsilon=0.3, l_max=4))
+        _, rep = gmres_restart(A, A.matvec(np.ones(12)), M=M,
+                               params=SolveParams(method="gmres", side="right"))
+        assert rep.converged and rep.iters == len(rep.residual_history) < 50
+        assert rep.matvecs == rep.precond_applies == rep.iters + 1
+
     def test_stagnation_flagged(self):
         # singular system with b outside the range: GMRES cannot progress
         dense = np.zeros((4, 4))

@@ -6,10 +6,13 @@
 M_d for the static builds), ``a_one_norm`` and every ``ColumnBuildRecord``
 field to one ``.npz`` file; for the small matrices it also writes the
 ``quality_report`` of every build and the ``verify_drop_guarantees`` checks
-of the diagnostics cases. ``compare`` lists the configurations whose arrays
-differ in any bit between two such files; a differing quality row is named by
-the ``QualityReport`` fields that differ, as in ``quality[nonsingular,
-rcond]``. From the repository root:
+of the diagnostics cases, and for the one-worker builds of the benchmark
+operators the ``check_nonsingular`` verdict and rcond of M (and of M_d).
+``compare`` lists the configurations whose arrays differ in any bit between
+two such files; a differing quality row is named by the ``QualityReport``
+fields that differ, as in ``quality[nonsingular, rcond]``, and a differing
+verdict row likewise, as in ``check_nonsingular[rcond]``. From the
+repository root:
 
     python3 tools/compare_builds.py run --src <checkout>/src --out before.npz
     python3 tools/compare_builds.py run --src src --out after.npz
@@ -40,9 +43,12 @@ pattern column empty; the static (I+A)^3 build of the benchmark's
 convection-diffusion operator and its postfiltered M_d; and the adaptive build
 of the benchmark's reservoir operator for seeds 0, 1 and 2. The
 convection-diffusion build and the seed-0 reservoir build run a second time
-with ``threads=2``, so the worker-pool path is compared too. The large
-operators come from ``perfbench/generators.py``. BLAS runs on one thread
-unless the environment says otherwise, so both sides round alike.
+with ``threads=2``, so the worker-pool path is compared too. The one-worker
+convection-diffusion M and M_d and the three reservoir M each store
+``check_nonsingular``'s ``(nonsingular, rcond)`` as a float64 row, one LU
+each. The large operators come from ``perfbench/generators.py``. BLAS runs
+on one thread unless the environment says otherwise, so both sides round
+alike.
 
 Diagnostics: every build of the 80 small matrices also stores its
 ``quality_report`` (each field as float64, the per-column residuals last; a
@@ -76,18 +82,21 @@ RESIDUALS = ("pre_drop_residual", "post_drop_residual")
 # fills the rest of the row, one entry per column
 QUALITY_FIELDS = ("r_max", "coln", "spar", "am_minus_i_one_norm", "p", "p_d", "nonsingular",
                   "rcond", "per_column_residuals")
+# the fields of each stored row whose differing entries ``compare`` names
+ROWS = {"quality": QUALITY_FIELDS, "check_nonsingular": ("nonsingular", "rcond")}
 RESIDUAL_NORM = QUALITY_FIELDS.index("am_minus_i_one_norm")
 STRUCT_COUNTS = {QUALITY_FIELDS.index("p"), QUALITY_FIELDS.index("p_d")}
 GUARD_TIE = 1e-10  # a guard gap below this, relative to the column's scale, is a tie or noise
 TOLERANCES = ("tol_min", "tol_max")
 
 
-def _quality_label(differs: np.ndarray) -> str:
-    """``quality[<field>, ...]``, naming the fields of a quality row at whose
-    entries the mask ``differs`` is set."""
-    last = len(QUALITY_FIELDS) - 1
-    named = sorted({min(int(i), last) for i in np.flatnonzero(differs)})
-    return f"quality[{', '.join(QUALITY_FIELDS[i] for i in named)}]"
+def _row_label(what: str, differs: np.ndarray) -> str:
+    """``<what>[<field>, ...]``, naming the fields of a stored row of ROWS at
+    whose entries the mask ``differs`` is set; the last field fills the rest
+    of the row."""
+    fields = ROWS[what]
+    named = sorted({min(int(i), len(fields) - 1) for i in np.flatnonzero(differs)})
+    return f"{what}[{', '.join(fields[i] for i in named)}]"
 
 
 def _small_matrix(rng, case: int):
@@ -127,6 +136,13 @@ def _checks(A, M, M_d, epsilon) -> dict:
         "checks": np.array([v for c in checks for v in (
             c.applicable, np.nan if c.passed is None else c.passed, *c.details.values())], float),
     }
+
+
+def _nonsingular(P) -> dict:
+    """``check_nonsingular`` of P's M as the row ``[nonsingular, rcond]``."""
+    from saiprec.diagnostics import check_nonsingular
+
+    return {"check_nonsingular": np.array(check_nonsingular(P.M), float)}
 
 
 def _static(A, kind, power, floor, threads=1, diagnose=False):
@@ -228,13 +244,15 @@ def _configs():
                _diagnostics(A, epsilon, l_max, tol))
 
     def cd3d(threads):
-        return _static(generators.convection_diffusion_3d(), "iplusa", 3, 0.1, threads)
+        built = _static(generators.convection_diffusion_3d(), "iplusa", 3, 0.1, threads)
+        return [(label, P, _nonsingular(P) if threads == 1 else extra)
+                for label, P, extra in built]
 
     def reservoir(seed, threads):
         params = SaiParams(epsilon=0.2, l_max=8, drop_mode="adaptive")
         A = generators.reservoir_3d(seed, 5.0, 1.02)
         P, gap = _build(A, params, threads)
-        return [("M", P, gap)]
+        return [("M", P, {**gap, **_nonsingular(P)} if threads == 1 else gap)]
 
     yield "static-cd3d", lambda: cd3d(1)
     for seed in (0, 1, 2):
@@ -281,9 +299,9 @@ def cmd_compare(first: Path, second: Path, rtol: float | None = None) -> int:
                 and a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes())
         if not same:
             name, label, what = key.split("/")
-            if what == "quality" and key in a and key in b and a[key].shape == b[key].shape \
+            if what in ROWS and key in a and key in b and a[key].shape == b[key].shape \
                     and a[key].dtype == b[key].dtype == np.float64:
-                what = _quality_label(a[key].view(np.uint64) != b[key].view(np.uint64))
+                what = _row_label(what, a[key].view(np.uint64) != b[key].view(np.uint64))
             differ.setdefault(f"{name}/{label}", []).append(what)
     builds = len({k.rsplit("/", 1)[0] for k in keys})
     for build, fields in sorted(differ.items()):
@@ -402,7 +420,7 @@ def _extras_apart(a: dict, b: dict, build: str, rtol: float) -> list:
             if max(norms) <= rtol:
                 cause = (f"p/p_d count entries of A M - I above 1e-14, and ||A M - I||_1 "
                          f"is at most {max(norms):.3g}")
-        out.append((_quality_label(apart) if what == "quality" else what, cause))
+        out.append((_row_label(what, apart) if what in ROWS else what, cause))
     return out
 
 

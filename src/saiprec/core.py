@@ -13,10 +13,16 @@ one sort of (set, row) keys and one scatter into a flat buffer cut into the
 blocks; ``gather_submatrix`` is its checked form for one set.
 ``_merged_supports`` grows many sorted patterns by their new indices with
 one sort of (set, index) keys. A pickled matrix is rebuilt without these
-caches. Every constructor keeps a private read-only copy of its input
-arrays, and rejects index arrays that are boolean or hold non-integral
-values instead of truncating them. Matrix Market files are one-based on
-disk; scipy's ``mmwrite`` writes them, and a loader of our own reads them,
+caches. The public constructor keeps a private read-only copy of the
+caller's arrays, and rejects index arrays that are boolean or hold
+non-integral values instead of truncating them. Arrays the package has just
+allocated itself (in ``from_scipy`` after its own copy and cleanup, in
+``identity``, ``assemble_columns`` and the static postfilter) go through
+``_adopt`` instead: the same checks, run once, and then the arrays are
+kept, not copied again; only an int32 index array is widened to int64. A static
+pattern (``static.make_pattern``) stores no values: its values array is
+one read-only broadcast 1.0. Matrix Market files are one-based on disk;
+scipy's ``mmwrite`` writes them, and a loader of our own reads them,
 stricter than ``mmread`` about malformed entries.
 """
 
@@ -37,19 +43,26 @@ class MatrixMarketError(ValueError):
     """Malformed or unsupported Matrix Market content."""
 
 
-def _as_index_array(indices, name: str) -> np.ndarray:
-    """``indices`` as a one-dimensional int64 copy. A float array passes only
-    when every value is integral; booleans and other dtypes are rejected."""
+def _as_index_array(indices, name: str, copy: bool = True) -> np.ndarray:
+    """``indices`` as a one-dimensional int64 array, a copy unless ``copy``
+    is False and it is int64 already. A float array passes only when every
+    value is integral; booleans and other dtypes are rejected."""
     arr = np.asarray(indices)
     if arr.dtype.kind == "f":
         if not np.all(np.isfinite(arr)) or np.any(arr != np.trunc(arr)):
             raise ValueError(f"{name} values must be integers")
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"{name} values must be integers, got dtype {arr.dtype}")
-    arr = arr.astype(np.int64)
+    arr = arr.astype(np.int64, copy=copy)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     return arr
+
+
+def _compacted(arr: np.ndarray) -> np.ndarray:
+    """``arr``, or a copy of it when it is a view of a longer buffer, as
+    scipy's in-place cleanup leaves an array that it pruned."""
+    return arr.copy() if getattr(arr.base, "nbytes", 0) > arr.nbytes else arr
 
 
 def _as_index(k, name: str) -> int:
@@ -76,9 +89,25 @@ class SparseMatrix:
                  "_scipy_cache", "_csr_cache", "_norm_cache")
 
     def __init__(self, nrows, ncols, col_ptr, row_idx, values):
-        col_ptr = _as_index_array(col_ptr, "col_ptr")
-        row_idx = _as_index_array(row_idx, "row_idx")
-        values = np.array(values, dtype=np.float64)
+        self._check_and_keep(nrows, ncols, _as_index_array(col_ptr, "col_ptr"),
+                             _as_index_array(row_idx, "row_idx"),
+                             np.array(values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, nrows, ncols, col_ptr, row_idx, values) -> "SparseMatrix":
+        """A matrix on arrays the package has just allocated and holds no
+        other reference to: checked as the constructor checks them, then
+        kept (made read-only) instead of copied; only an index array that
+        is not int64, or values that are not float64, are converted."""
+        self = cls.__new__(cls)
+        self._check_and_keep(nrows, ncols, _as_index_array(col_ptr, "col_ptr", copy=False),
+                             _as_index_array(row_idx, "row_idx", copy=False),
+                             np.asarray(values, dtype=np.float64))
+        return self
+
+    def _check_and_keep(self, nrows, ncols, col_ptr, row_idx, values):
+        """Check the invariants on int64 ``col_ptr``, ``row_idx`` and float64
+        ``values`` and keep these very arrays, read-only."""
         if nrows < 0 or ncols < 0:
             raise ValueError("negative dimension")
         if col_ptr.shape != (ncols + 1,):
@@ -90,10 +119,9 @@ class SparseMatrix:
         if row_idx.size:
             if row_idx.min() < 0 or row_idx.max() >= nrows:
                 raise ValueError("row index out of range")
-            # strictly increasing inside each column: differences may only be
-            # non-positive at column boundaries
-            d = np.diff(row_idx)
-            bad = np.nonzero(d <= 0)[0] + 1
+            # strictly increasing inside each column: an index may only be at
+            # or below its predecessor at a column boundary
+            bad = np.flatnonzero(row_idx[1:] <= row_idx[:-1]) + 1
             if bad.size and not np.all(np.isin(bad, col_ptr[1:-1])):
                 raise ValueError("row indices must be strictly increasing per column")
         if np.any(values == 0.0):
@@ -143,7 +171,7 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n) -> "SparseMatrix":
         idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
+        return cls._adopt(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     @classmethod
     def from_scipy(cls, mat) -> "SparseMatrix":
@@ -153,7 +181,9 @@ class SparseMatrix:
         csc.sum_duplicates()
         csc.eliminate_zeros()
         csc.sort_indices()
-        return cls(csc.shape[0], csc.shape[1], csc.indptr, csc.indices, csc.data)
+        # csc's arrays are fresh: a new conversion, or the copy above
+        return cls._adopt(*csc.shape, *(_compacted(arr)
+                                         for arr in (csc.indptr, csc.indices, csc.data)))
 
     # ------------------------------------------------------------------
     # basic queries
@@ -366,22 +396,32 @@ def _gather_blocks(A: SparseMatrix, sets, ks, slots=None):
              rows[row_start[s]:row_start[s + 1]]) for s in range(len(sets))]
 
 
+def _kept_entries(nrows: int, col_ptr, row_idx, values, keep) -> SparseMatrix:
+    """The matrix of the entries where ``keep`` is set, from CSC arrays that
+    the caller may still hold: the kept entries are fresh copies, and the
+    new ``col_ptr`` counts the dropped entries before each column start."""
+    kept_ptr = col_ptr - np.searchsorted(np.flatnonzero(~keep), col_ptr)
+    return SparseMatrix._adopt(nrows, col_ptr.size - 1, kept_ptr, row_idx[keep], values[keep])
+
+
 def assemble_columns(columns, nrows: int) -> SparseMatrix:
     """Assemble ``(indices, values)`` column pairs, indices increasing, into
     an ``nrows``-row SparseMatrix, preserving column order; exact zeros are
-    purged and the result is validated once, as a whole."""
+    purged and the result is validated once, as a whole. The concatenated
+    arrays are kept as they are when no entry is an exact zero."""
     columns = list(columns)
     if not columns:
         raise ValueError("no columns to assemble")
     if any(len(idx) != len(vals) for idx, vals in columns):
         raise ValueError("indices and values must have equal length")
-    raw_ptr = np.zeros(len(columns) + 1, dtype=np.int64)
-    np.cumsum([len(idx) for idx, _ in columns], out=raw_ptr[1:])
+    col_ptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum([len(idx) for idx, _ in columns], out=col_ptr[1:])
     row_idx = np.concatenate([idx for idx, _ in columns])
     values = np.concatenate([vals for _, vals in columns])
     keep = values != 0.0
-    col_ptr = np.concatenate(([0], np.cumsum(keep)))[raw_ptr]
-    return SparseMatrix(nrows, len(columns), col_ptr, row_idx[keep], values[keep])
+    if keep.all():
+        return SparseMatrix._adopt(nrows, len(columns), col_ptr, row_idx, values)
+    return _kept_entries(nrows, col_ptr, row_idx, values, keep)
 
 
 # ----------------------------------------------------------------------

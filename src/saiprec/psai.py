@@ -12,8 +12,9 @@ call. Each growing column then solves its own least-squares problem (a
 LAPACK QR of its block, applied to e_k without forming Q; see ``lsq``). A
 column stops early (stalled) once A maps its reached index set into itself,
 as no index can be new again. Per column the block keeps the loop count,
-the stalled and guard flags, the drop tolerances, the pre-drop residual and
-the least-squares state, which it releases when the column stops growing.
+the stalled and guard flags, the least and largest drop tolerance, the
+pre-drop residual and the least-squares state, which it releases when the
+column stops growing.
 
 Whether a build drops is one rule, ``SaiParams.drops``: a fixed tolerance,
 or the adaptive criterion eps / (nnz(m_k) * ||A||_1) with a nonzero
@@ -234,7 +235,8 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
     loops = np.zeros(ks.size, dtype=np.int64)
     stalled = np.zeros(ks.size, dtype=bool)
     guard = np.zeros(ks.size, dtype=bool)
-    tols = [[] for _ in states]
+    tol_min = np.full(ks.size, np.nan)  # NaN until the column's first drop step
+    tol_max = np.full(ks.size, np.nan)
     handoffs = [None] * ks.size
     active = np.arange(ks.size)  # the slots of the columns that took the last step
     V = sp.csc_matrix((np.ones(ks.size), ks, np.arange(ks.size + 1)), shape=(n, ks.size))
@@ -245,7 +247,8 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
                 states[slot], int(ks[slot]), loops_used=int(loops[slot]),
                 pre_drop_residual=float(residual[slot]), met_accuracy=bool(residual[slot] <= eps),
                 guard_flag=bool(guard[slot]), stalled=bool(stalled[slot]),
-                tol_min=min(tols[slot], default=None), tol_max=max(tols[slot], default=None),
+                tol_min=None if np.isnan(tol_min[slot]) else float(tol_min[slot]),
+                tol_max=None if np.isnan(tol_max[slot]) else float(tol_max[slot]),
             )
             states[slot] = None
         if not grows.any():
@@ -283,8 +286,8 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
         solutions = [state.solution for state in level]
         counts = np.array([solution.size for solution in solutions])
         level_tols = adaptive_drop_tolerance(eps, counts, a_one_norm)
-        for slot, tol in zip(grown.tolist(), level_tols.tolist()):
-            tols[slot].append(tol)
+        tol_min[grown] = np.fmin(tol_min[grown], level_tols)
+        tol_max[grown] = np.fmax(tol_max[grown], level_tols)
         threshold = (params.drop_scale * level_tols if params.drop_mode == "adaptive"
                      else params.tol)
         kept, flagged = _drop_mask(np.concatenate(solutions), counts, threshold)

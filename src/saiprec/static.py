@@ -18,7 +18,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseMatrix, _gather_blocks
+from .core import SparseMatrix, _gather_blocks, _kept_entries
 from .diagnostics import _column_norms, _residual_matrix
 from .lsq import ColumnLeastSquares
 from .psai import Preconditioner, _build_columns, _column_result, _drop_mask
@@ -41,7 +41,8 @@ def _capped_matmul(L, R, cap):
 
 
 def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP) -> SparseMatrix:
-    """Structure of the named symbolic power product, as an all-ones matrix.
+    """Structure of the named symbolic power product, as an all-ones matrix
+    that stores no values: its values array is one read-only broadcast 1.0.
 
     kind "iplusa":  (I + A)^k
     kind "abs":     (I + |A| + |A^T|)^k A^T
@@ -54,8 +55,7 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
         raise ValueError(f"kind must be one of {PATTERN_KINDS}")
     if k < 1:
         raise ValueError("power must be at least 1")
-    S = A.to_scipy().copy()
-    S.data[:] = 1.0
+    S = sp.csc_matrix((np.ones(A.nnz), A.row_idx, A.col_ptr), shape=A.shape)
     eye = sp.identity(A.nrows, format="csc")
     # the pattern is base^steps @ out; every product is capped and kept all-ones
     if kind == "iplusa":
@@ -68,7 +68,9 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
     base.data[:] = 1.0
     for _ in range(steps):
         out = _capped_matmul(base, out, cap)
-    return SparseMatrix.from_scipy(out)
+    out.sum_duplicates()  # CSC, as every product above: sorts each column's rows
+    return SparseMatrix._adopt(out.shape[0], out.shape[1], out.indptr, out.indices,
+                               np.broadcast_to(1.0, out.nnz))
 
 
 def _static_column(k, A, support, gathered):
@@ -125,14 +127,14 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
     with np.errstate(divide="ignore"):  # ||A||_1 = 0: every tolerance is inf
         tol = eps / (np.maximum(counts, 1) * P.a_one_norm)
     keep, guard = _drop_mask(M.values, counts, tol)
-    col_ptr = np.concatenate(([0], np.cumsum(keep)))[M.col_ptr]
-    M_d = SparseMatrix(M.nrows, M.ncols, col_ptr, M.row_idx[keep], M.values[keep])
+    M_d = _kept_entries(M.nrows, M.col_ptr, M.row_idx, M.values, keep)
     residuals = _column_norms(_residual_matrix(A, M_d))
+    nnz_final = M_d.column_nnz().tolist()
     records = [
         dataclasses.replace(
             rec,
             post_drop_residual=float(residuals[k]),
-            nnz_final=int(col_ptr[k + 1] - col_ptr[k]),
+            nnz_final=nnz_final[k],
             guard_flag=bool(guard[k]),
             tol_min=float(tol[k]),
             tol_max=float(tol[k]),

@@ -1,3 +1,5 @@
+import logging
+import re
 import sys
 from unittest import mock
 
@@ -10,7 +12,8 @@ from scipy.sparse.linalg import splu
 
 from conftest import REPO_ROOT, load_tool, random_sparse, random_well_conditioned
 from saiprec.core import SparseMatrix
-from saiprec.diagnostics import check_nonsingular, quality_report, verify_drop_guarantees
+from saiprec.diagnostics import (_RefinedLU, check_nonsingular, quality_report,
+                                 verify_drop_guarantees)
 from saiprec.psai import SaiParams, build_preconditioner
 
 
@@ -164,6 +167,23 @@ def symmetric_mode(kw) -> bool:
     return bool(kw.get("options", {}).get("SymmetricMode"))
 
 
+def faulty_symmetric_mode(fault):
+    """A factorization whose symmetric-mode LU returns ``fault(x)`` for each
+    solution x; other LUs are left exact."""
+    class Faulty:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b, trans="N"):
+            return fault(self.lu.solve(b, trans=trans))
+
+    def factor(S, **kw):
+        lu = splu(S, **kw)
+        return Faulty(lu) if symmetric_mode(kw) else lu
+
+    return factor
+
+
 def convection_diffusion_patterns():
     """The structurally symmetric 8 x 8-grid operator and the same with one
     entry added above the diagonal, which makes its pattern unsymmetric."""
@@ -216,24 +236,26 @@ class TestOrderingFreeVerdict:
 
     @pytest.mark.parametrize("pattern", ["symmetric", "unsymmetric"])
     def test_an_inaccurate_symmetric_mode_solve_is_refactored(self, monkeypatch, pattern):
-        # diagonal pivoting has no growth bound; a solve with a relative error
-        # of 1e-6 has a backward error far above 10*n*eps
-        class Inaccurate:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, b, trans="N"):
-                x = self.lu.solve(b, trans=trans)
-                return x + (1e-6 * np.cos(np.arange(len(x))) * x.T).T
-
-        def factor(S, **kw):
-            lu = splu(S, **kw)
-            return Inaccurate(lu) if symmetric_mode(kw) else lu
-
+        # diagonal pivoting has no growth bound; a solve that returns twice
+        # the solution is one that refinement cannot repair: its iterates
+        # alternate between twice the solution and zero
         M = convection_diffusion_patterns()[pattern]
-        seen = recorded_orderings(monkeypatch, factor)
+        seen = recorded_orderings(monkeypatch, faulty_symmetric_mode(lambda x: 2.0 * x))
         ok, rcond = check_nonsingular(M)
         assert seen == ["MMD_AT_PLUS_A", "COLAMD"]
+        assert ok is bool(svd_ratio(M) > M.nrows * EPS)
+        dense = M.to_dense()
+        assert dense_rcond(dense) * (1.0 - 1e-9) <= rcond <= 3.0 * dense_rcond(dense)
+
+    @pytest.mark.parametrize("pattern", ["symmetric", "unsymmetric"])
+    def test_a_slightly_inaccurate_symmetric_mode_solve_is_refined(self, monkeypatch, pattern):
+        # a relative error of 1e-6 in every solve leaves a backward error far
+        # above 10*n*eps, but each correction shrinks it by about 1e-6
+        M = convection_diffusion_patterns()[pattern]
+        seen = recorded_orderings(monkeypatch, faulty_symmetric_mode(
+            lambda x: x + (1e-6 * np.cos(np.arange(len(x))) * x.T).T))
+        ok, rcond = check_nonsingular(M)
+        assert seen == ["MMD_AT_PLUS_A"]
         assert ok is bool(svd_ratio(M) > M.nrows * EPS)
         dense = M.to_dense()
         assert dense_rcond(dense) * (1.0 - 1e-9) <= rcond <= 3.0 * dense_rcond(dense)
@@ -249,6 +271,85 @@ class TestOrderingFreeVerdict:
         ok, rcond = check_nonsingular(M)
         assert seen == ["MMD_AT_PLUS_A", "COLAMD"]
         assert ok and rcond >= dense_rcond(M.to_dense()) * (1.0 - 1e-9)
+
+
+def with_smallest_singular_value(M: SparseMatrix, ratio: float) -> SparseMatrix:
+    """M with its smallest singular value set to ``ratio`` times its largest."""
+    u, s, vt = np.linalg.svd(M.to_dense())
+    s[-1] = s[0] * ratio
+    return SparseMatrix.from_dense((u * s) @ vt)
+
+
+class TestSinglePrecisionFactor:
+    @pytest.mark.parametrize("k", [-300, -140, 0, 140, 300])
+    def test_a_power_of_two_scaling_changes_nothing(self, monkeypatch, k):
+        # unscaled, M * 2**140 overflows float32 and M * 2**-140 flushes in it
+        M = convection_diffusion_patterns()["unsymmetric"]
+        expected = check_nonsingular(M)
+        scaled = SparseMatrix.from_scipy(M.to_scipy() * 2.0**k)
+        seen = recorded_orderings(monkeypatch)
+        ok, rcond = check_nonsingular(scaled)
+        assert seen == ["MMD_AT_PLUS_A"]  # the single-precision factor decided
+        assert ok is expected[0] is True
+        assert rcond == pytest.approx(expected[1], rel=1e-12)
+
+    def test_an_ill_conditioned_matrix_falls_back_to_colamd(self, monkeypatch):
+        # kappa_1 about 1.7e9, far beyond 2**24: the single-precision LU's
+        # corrections do not bring a solve to 4*eps within the cap
+        M = with_smallest_singular_value(convection_diffusion_2d(8), 1e-9)
+        dense = M.to_dense()
+        cond = np.linalg.cond(dense, 1)
+        assert 1e9 <= cond <= 1e10
+        seen = recorded_orderings(monkeypatch)
+        ok, rcond = check_nonsingular(M)
+        assert seen == ["MMD_AT_PLUS_A", "COLAMD"]
+        slack = 1e-9 + M.nrows * cond * EPS
+        assert ok and dense_rcond(dense) * (1.0 - slack) <= rcond <= 3.0 * dense_rcond(dense)
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_refined_solves_reach_rounding_level_backward_error(self, trans):
+        M = with_smallest_singular_value(convection_diffusion_patterns()["unsymmetric"], 1e-5)
+        S = M.to_scipy()
+        op = S.T if trans == "T" else S
+        norm = np.abs(op.toarray()).sum(axis=0).max()  # ||M^T||_1 = ||M||_inf
+        X = np.random.default_rng(5).standard_normal((M.nrows, 3))
+
+        def backward_errors(W):
+            residual = np.abs(X - op @ W).sum(axis=0)
+            return residual / (norm * np.abs(W).sum(axis=0) + np.abs(X).sum(axis=0))
+
+        lu = _RefinedLU(S, M.one_norm())
+        assert backward_errors(lu._single(X, trans)).min() > 1e3 * EPS
+        W = lu.solve(X, trans)
+        assert lu.corrections >= 1
+        assert backward_errors(W).max() <= 4.0 * EPS
+        assert np.array_equal(lu.solve(X[:, 0], trans), W[:, 0])  # a vector as a one-column block
+        for k in (-200, 200):  # right-hand sides outside float32's range are cast after scaling
+            assert np.array_equal(lu.solve(np.ldexp(X, k), trans), np.ldexp(W, k))
+
+
+class TestDebugRecord:
+    def test_silent_by_default(self, caplog):
+        check_nonsingular(convection_diffusion_2d(6))
+        assert not caplog.records
+
+    def test_names_the_factor_the_corrections_and_eta(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="saiprec")
+        check_nonsingular(convection_diffusion_2d(6))
+        (record,) = caplog.records
+        assert record.name == "saiprec" and record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert "single-precision symmetric-mode LU decided" in message
+        assert re.search(r"[1-9]\d* corrections, eta \S+$", message)
+
+    def test_names_the_fallback_and_why(self, caplog, monkeypatch):
+        recorded_orderings(monkeypatch, faulty_symmetric_mode(lambda x: 2.0 * x))
+        caplog.set_level(logging.DEBUG, logger="saiprec")
+        check_nonsingular(convection_diffusion_2d(6))
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert "double COLAMD LU decided" in message
+        assert "did not converge in" in message and "0 corrections" in message
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)

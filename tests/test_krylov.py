@@ -337,6 +337,30 @@ class TestStopReason:
             _, rep = fn(A, b, M=M, params=SolveParams(method=method, side="left"))
             self.check(rep, "breakdown")
 
+    def test_bicgstab_breakdown_on_rho(self):
+        # A e1 = e1 + e2 gives alpha = 1 and s = -e2, then omega = 1/2 and
+        # r = (0, -1/2, 1/2), exactly orthogonal to the shadow residual e1:
+        # the second step starts with rho = 0, before any product
+        A = SparseMatrix.from_dense([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        x, rep = bicgstab(A, np.array([1.0, 0.0, 0.0]), params=SolveParams(side="none"))
+        self.check(rep, "breakdown")
+        assert rep.iters == 2.0 and rep.matvecs == 3  # two in the first step, one in accept
+        assert np.array_equal(x, [1.0, -0.5, 0.0])
+        assert rep.final_rel_residual == np.sqrt(0.5)
+
+    def test_gmres_breakdown_at_the_start_of_a_cycle(self):
+        # with the singular left M = diag(1, 0) the first cycle solves
+        # M A x = M b exactly at x = e1, so the second starts from beta = 0,
+        # while the true residual b - A x = (0, 1) is not small
+        A = SparseMatrix.from_dense([[2.0, 1.0], [1.0, 3.0]])
+        M = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 0.0]])
+        x, rep = gmres_restart(A, np.array([2.0, 2.0]), M=M,
+                               params=SolveParams(method="gmres", side="left"))
+        self.check(rep, "breakdown")
+        assert rep.iters == 1.0
+        assert np.array_equal(x, [1.0, 0.0])
+        assert rep.final_rel_residual == 1.0 / np.sqrt(8.0)
+
     def test_stagnated(self):
         A = SparseMatrix.from_coo(4, 4, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
         params = SolveParams(method="gmres", restart=4, side="none", max_iters=50)

@@ -9,8 +9,19 @@ recomputes the true residual ||b - A x||_2 / ||b||_2 of the original system,
 and the report with its stop ``reason`` (the template's shared stopping
 test; Barrett et al., 1994). BiCGStab counts full steps, a converged
 half-step as +0.5; GMRES counts inner Arnoldi steps across restarts, on a
-row basis orthogonalized by classical Gram-Schmidt. Products run on each
-matrix's cached CSR copy.
+row basis orthogonalized by classical Gram-Schmidt.
+
+Products run on each matrix's cached CSR copy, through the kernel behind
+scipy's ``csr_matrix @ vector`` (``scipy.sparse._sparsetools.csr_matvec``),
+called directly into a zeroed work vector: the same sums in the same order,
+so the same bits, without the dispatch and the fresh output that ``@`` pays
+on each of a solve's thousands of products. Each solver allocates its work
+vectors once per solve (GMRES also its (m+1) x n basis) and writes every
+product and vector update into them with ufuncs' ``out=``, in the order in
+which the expression it replaces evaluates; each norm is ``sqrt(x @ x)``,
+the sum ``np.linalg.norm`` forms. So the iterates, residual histories and
+product counts are those of the allocating form, bit for bit. The kernel is
+private to scipy, and a test pins it.
 """
 
 from __future__ import annotations
@@ -20,8 +31,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from .core import SparseMatrix
+from .psai import Preconditioner
 
 _REORTH_THRESHOLD = 0.7071  # second CGS pass when the first loses half the mass
 _BREAKDOWN_FLOOR = 1e-300
@@ -71,12 +84,25 @@ class SolveReport:
         return self.reason == "stagnated"
 
 
+def _product(S, v, out):
+    """``S @ v`` for a scipy CSR matrix ``S``, written into ``out`` (a new
+    vector when None) by the kernel behind that operator. ``out`` must not
+    share memory with ``v``."""
+    if out is None:
+        out = np.zeros(S.shape[0])
+    else:
+        out.fill(0.0)  # the kernel adds each row's sum to what out holds
+    _csr_matvec(S.shape[0], S.shape[1], S.indptr, S.indices, S.data, v, out)
+    return out
+
+
 class _Operators:
-    """One solve of ``A x = b``: the checked A (square), b and M (a
-    SparseMatrix of A's shape or a Preconditioner built for ``params.side``;
-    None, and only None, under side "none") with product counts, the
-    preconditioned operator ``op`` and its right-hand side ``rhs`` (M b on
-    the left side), and the report.
+    """One solve of ``A x = b``: the checked A (a square SparseMatrix), b and
+    M (a SparseMatrix of A's shape or a Preconditioner built for
+    ``params.side``; None, and only None, under side "none") with product
+    counts, the preconditioned operator ``op`` and its right-hand side
+    ``rhs`` (M b on the left side), and the report. The products write into
+    a caller's work vector, or a new one when it passes none.
     ``trivial`` names an exit at x = 0 and is empty otherwise: b = 0 has
     converged, and a left M that maps b to 0 is a breakdown. A nonzero b whose
     2-norm underflows to 0 is rejected, since no relative residual can be
@@ -86,6 +112,11 @@ class _Operators:
 
     def __init__(self, A: SparseMatrix, b, M, params: SolveParams):
         self.start = time.perf_counter()
+        if not isinstance(A, SparseMatrix):
+            raise TypeError(f"A must be a SparseMatrix, got {type(A).__name__}")
+        if not (M is None or isinstance(M, (SparseMatrix, Preconditioner))):
+            raise TypeError("M must be None, a SparseMatrix or a Preconditioner, "
+                            f"got {type(M).__name__}")
         if A.nrows != A.ncols:
             raise ValueError(f"A must be square, got shape {A.shape}")
         b = np.asarray(b, dtype=np.float64)
@@ -93,7 +124,7 @@ class _Operators:
             raise ValueError(f"right-hand side must have shape ({A.nrows},), got {b.shape}")
         if not np.all(np.isfinite(b)):
             raise ValueError("right-hand side has non-finite entries")
-        if M is not None and not isinstance(M, SparseMatrix):  # a Preconditioner
+        if isinstance(M, Preconditioner):
             if M.side != params.side:
                 raise ValueError(f"a {M.side}-side preconditioner cannot be applied "
                                  f"with side={params.side!r}")
@@ -111,7 +142,7 @@ class _Operators:
         self.precond_applies = 0
         self.report = SolveReport()
         self.b = b
-        self.bnorm = float(np.linalg.norm(b))
+        self.bnorm = math.sqrt(b @ b)
         self.trivial = ""
         if self.bnorm == 0.0:
             if b.any():
@@ -121,33 +152,37 @@ class _Operators:
             self.report.final_rel_residual = 0.0
             self.trivial = "converged"
             return
+        self.work = np.empty(A.nrows)  # op's first product, and accept's residual
         self.rhs = self.apply_m(b) if self.side == "left" else b
-        self.rhs_norm = float(np.linalg.norm(self.rhs))
+        self.rhs_norm = math.sqrt(self.rhs @ self.rhs)
         if self.rhs_norm == 0.0:
             self.report.final_rel_residual = 1.0
             self.trivial = "breakdown"
 
-    def apply_a(self, v):
+    def apply_a(self, v, out=None):
         self.matvecs += 1
-        return self.A @ v
+        return _product(self.A, v, out)
 
-    def apply_m(self, v):
+    def apply_m(self, v, out=None):
         self.precond_applies += 1
-        return self.M @ v
+        return _product(self.M, v, out)
 
-    def op(self, v):
+    def op(self, v, out=None):
+        """The preconditioned operator applied to ``v``, into ``out``."""
         if self.side == "right":
-            return self.apply_a(self.apply_m(v))
+            return self.apply_a(self.apply_m(v, self.work), out)
         if self.side == "left":
-            return self.apply_m(self.apply_a(v))
-        return self.apply_a(v)
+            return self.apply_m(self.apply_a(v, self.work), out)
+        return self.apply_a(v, out)
 
     def accept(self, y, iters: float):
         """Map the preconditioned iterate ``y`` to x, record x's true
         residual ||b - A x|| / ||b|| and ``iters``, and set ``converged``
         when that residual is below the tolerance. Returns x."""
         x = self.apply_m(y) if self.side == "right" else y
-        rel = float(np.linalg.norm(self.b - self.apply_a(x)) / self.bnorm)
+        r = self.apply_a(x, self.work)
+        np.subtract(self.b, r, out=r)
+        rel = math.sqrt(r @ r) / self.bnorm
         self.report.final_rel_residual = rel
         self.report.converged = rel < self.rel_tol
         self.report.iters = iters
@@ -174,8 +209,7 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
     r = ops.rhs.copy()
     r_hat = r.copy()
     rho = alpha = omega = 1.0
-    v = np.zeros_like(r)
-    p = np.zeros_like(r)
+    p, v, s, h, t, w = (np.empty(A.ncols) for _ in range(6))  # w holds omega * v
 
     stop = "max_iters"
     for it in range(1, params.max_iters + 1):
@@ -184,20 +218,25 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
             stop = "breakdown"
             break
         if it == 1:
-            p = r.copy()
+            np.copyto(p, r)
         else:
             beta = (rho_new / rho) * (alpha / omega)
-            p = r + beta * (p - omega * v)
+            np.multiply(omega, v, out=w)  # p = r + beta * (p - omega * v)
+            np.subtract(p, w, out=p)
+            np.multiply(beta, p, out=p)
+            np.add(r, p, out=p)
         rho = rho_new
-        v = ops.op(p)
+        ops.op(p, v)
         denom = float(r_hat @ v)
         if abs(denom) < _BREAKDOWN_FLOOR:
             stop = "breakdown"
             break
         alpha = rho / denom
-        s = r - alpha * v
-        h = y + alpha * p
-        s_norm = float(np.linalg.norm(s))
+        np.multiply(alpha, v, out=s)  # s = r - alpha * v
+        np.subtract(r, s, out=s)
+        np.multiply(alpha, p, out=h)  # h = y + alpha * p
+        np.add(y, h, out=h)
+        s_norm = math.sqrt(s @ s)
         if not math.isfinite(s_norm):
             stop = "non-finite"
             break
@@ -206,16 +245,18 @@ def bicgstab(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams()):
             x = ops.accept(h, it - 0.5)
             if ops.report.converged:
                 return ops.done(x, "converged")
-        t = ops.op(s)
+        ops.op(s, t)
         tt = float(t @ t)
         if tt < _BREAKDOWN_FLOOR:
             stop = "breakdown"
             y = h
             break
         omega = float(t @ s) / tt
-        y = h + omega * s
-        r = s - omega * t
-        r_norm = float(np.linalg.norm(r))
+        np.multiply(omega, s, out=y)  # y = h + omega * s
+        np.add(h, y, out=y)
+        np.multiply(omega, t, out=r)  # r = s - omega * t
+        np.subtract(s, r, out=r)
+        r_norm = math.sqrt(r @ r)
         if not math.isfinite(r_norm):
             stop = "non-finite"
             break
@@ -250,13 +291,19 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
         return ops.done(np.zeros(A.ncols), ops.trivial)
     m, n = params.restart, A.ncols
     x = np.zeros(n)  # iterate of the preconditioned system (y for right side)
+    V = np.empty((m + 1, n))  # a cycle reads only the rows it has written
+    r, w, u = (np.empty(n) for _ in range(3))  # u holds a combination of rows of V
     inner_total = 0
     prev_beta = None
     stop = "max_iters"
 
     for cycle in range(params.max_iters):
-        r = ops.rhs - ops.op(x) if cycle else ops.rhs.copy()  # x = 0 in the first cycle
-        beta = float(np.linalg.norm(r))
+        if cycle:
+            ops.op(x, r)  # r = rhs - op(x)
+            np.subtract(ops.rhs, r, out=r)
+        else:
+            np.copyto(r, ops.rhs)  # x = 0 in the first cycle
+        beta = math.sqrt(r @ r)
         if not math.isfinite(beta):
             stop = "non-finite"
             break
@@ -275,31 +322,30 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
             stop = "stagnated"
             break
         prev_beta = beta
-        V = np.zeros((m + 1, n))
-        V[0] = r / beta
+        np.divide(r, beta, out=V[0])
         R = []  # columns of the rotated (upper triangular) Hessenberg matrix
         cs, sn = [], []
         g = [beta]  # rotated right-hand side beta * e_1
         hit_tol = False
         for j in range(m):
-            w = ops.op(V[j])
-            norm_before = float(np.linalg.norm(w))
+            ops.op(V[j], w)
+            norm_before = math.sqrt(w @ w)
             basis = V[: j + 1]
             h = basis @ w
-            w -= h @ basis
-            h_next = float(np.linalg.norm(w))
+            np.subtract(w, np.matmul(h, basis, out=u), out=w)
+            h_next = math.sqrt(w @ w)
             if h_next < _REORTH_THRESHOLD * norm_before:
                 c = basis @ w
-                w -= c @ basis
+                np.subtract(w, np.matmul(c, basis, out=u), out=w)
                 h += c
-                h_next = float(np.linalg.norm(w))
+                h_next = math.sqrt(w @ w)
             inner_total += 1
             if not math.isfinite(h_next):
                 stop = "non-finite"
                 break
             happy = h_next == 0.0
             if not happy:
-                V[j + 1] = w / h_next
+                np.divide(w, h_next, out=V[j + 1])
             # apply accumulated Givens rotations, then form the new one
             col = h.tolist()
             for i in range(j):
@@ -333,7 +379,7 @@ def gmres_restart(A: SparseMatrix, b, M=None, params: SolveParams = SolveParams(
             for k in range(i + 1, jj):
                 acc -= R[k][i] * y_small[k]
             y_small[i] = acc / R[i][i]
-        x = x + np.array(y_small) @ V[:jj]
+        np.add(x, np.matmul(np.array(y_small), V[:jj], out=u), out=x)
         if hit_tol:
             xu = ops.accept(x, float(inner_total))
             if ops.report.converged:

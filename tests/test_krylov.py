@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from conftest import random_sparse, random_well_conditioned
+from saiprec import krylov
 from saiprec.core import SparseMatrix
-from saiprec.krylov import SolveParams, bicgstab, gmres_restart, solve
+from saiprec.krylov import SolveParams, _Operators, bicgstab, gmres_restart, solve
 from saiprec.psai import SaiParams, build_preconditioner
 
 
@@ -221,6 +224,207 @@ class TestPreconditionedSolves:
         assert rep.precond_applies > 0
 
 
+class TestBoundaryTypes:
+    @pytest.mark.parametrize("fn", [solve, bicgstab, gmres_restart])
+    def test_a_must_be_a_sparse_matrix(self, fn):
+        A = random_well_conditioned(np.random.default_rng(43), 6, density=0.5)
+        for bad, name in ((A.to_scipy(), "csc_matrix"), (A.to_csr(), "csr_matrix"),
+                          (A.to_dense(), "ndarray")):
+            with pytest.raises(TypeError, match=f"A must be a SparseMatrix, got {name}"):
+                fn(bad, np.ones(6), params=SolveParams(side="none"))
+
+    @pytest.mark.parametrize("fn", [solve, bicgstab, gmres_restart])
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_m_must_be_a_sparse_matrix_or_a_preconditioner(self, fn, side):
+        A = random_well_conditioned(np.random.default_rng(47), 6, density=0.5)
+        I = SparseMatrix.identity(6)
+        for bad, name in ((I.to_scipy(), "csc_matrix"), (I.to_csr(), "csr_matrix"),
+                          (np.eye(6), "ndarray")):
+            with pytest.raises(TypeError, match="M must be None, a SparseMatrix or a "
+                                                f"Preconditioner, got {name}"):
+                fn(A, np.ones(6), M=bad, params=SolveParams(side=side))
+
+
+def random_csr(rng, n: int, index_dtype) -> sp.csr_matrix:
+    """A random n x n CSR matrix with some empty rows, on the given index type."""
+    dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    dense[rng.random(n) < 0.3] = 0.0
+    dense[0] = 0.0  # at least one empty row
+    S = sp.csr_matrix(dense)
+    S.indptr, S.indices = S.indptr.astype(index_dtype), S.indices.astype(index_dtype)
+    return S
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestProducts:
+    """The products write ``S @ x`` into a work vector, bit for bit, and are
+    counted as before."""
+
+    def test_kernel_is_the_one_behind_csr_matrix_times_vector(self):
+        # a private scipy name: this test fails first if scipy moves it
+        from scipy.sparse import _sparsetools
+        assert krylov._csr_matvec is _sparsetools.csr_matvec
+        S = random_csr(np.random.default_rng(53), 9, np.int32)
+        assert same_bits(krylov._product(S, np.arange(9.0), None), S @ np.arange(9.0))
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("side", ["right", "left", "none"])
+    def test_products_into_a_reused_vector(self, index_dtype, side):
+        rng = np.random.default_rng(59)
+        n = 30
+        M = SparseMatrix.identity(n) if side != "none" else None
+        ops = _Operators(SparseMatrix.identity(n), np.ones(n), M, SolveParams(side=side))
+        out = np.full(n, np.nan)  # stale contents
+        for _ in range(10):
+            # the kernel takes either index type; scipy uses int64 past 2**31 entries
+            ops.A, ops.M = random_csr(rng, n, index_dtype), random_csr(rng, n, index_dtype)
+            assert ops.A.indices.dtype == ops.M.indptr.dtype == index_dtype
+            x = rng.standard_normal(n)
+            matvecs, applies = ops.matvecs, ops.precond_applies
+            assert ops.apply_a(x, out) is out and same_bits(out, ops.A @ x)
+            assert ops.apply_m(x, out) is out and same_bits(out, ops.M @ x)
+            fresh = ops.apply_a(x)
+            assert fresh is not out and same_bits(fresh, ops.A @ x)
+            expected = {"right": ops.A @ (ops.M @ x), "left": ops.M @ (ops.A @ x),
+                        "none": ops.A @ x}[side]
+            assert ops.op(x, out) is out and same_bits(out, expected)
+            assert same_bits(ops.op(x), expected)
+            extra = 0 if side == "none" else 2
+            assert ops.matvecs == matvecs + 4 and ops.precond_applies == applies + 1 + extra
+
+
+def allocating_bicgstab(A, b, M, side, rel_tol=1e-8, max_iters=1000):
+    """The solver's arithmetic on the main path, one new array per expression
+    and scipy's ``@`` for every product: the reference for its work vectors."""
+    A, M = A.to_csr(), M.M.to_csr() if M is not None else None
+    op = {"right": lambda v: A @ (M @ v), "left": lambda v: M @ (A @ v),
+          "none": lambda v: A @ v}[side]
+    to_x = (lambda y: M @ y) if side == "right" else (lambda y: y)
+    bnorm = float(np.linalg.norm(b))
+    rhs = M @ b if side == "left" else b
+    rhs_norm = float(np.linalg.norm(rhs))
+    y, r = np.zeros(len(b)), rhs.copy()
+    r_hat, history = r.copy(), []
+    rho = alpha = omega = 1.0
+    p = v = None
+    for it in range(1, max_iters + 1):
+        rho_new = float(r_hat @ r)
+        if it == 1:
+            p = r.copy()
+        else:
+            beta = (rho_new / rho) * (alpha / omega)
+            p = r + beta * (p - omega * v)
+        rho = rho_new
+        v = op(p)
+        alpha = rho / float(r_hat @ v)
+        s = r - alpha * v
+        h = y + alpha * p
+        history.append(float(np.linalg.norm(s)) / rhs_norm)
+        if history[-1] < rel_tol and np.linalg.norm(b - A @ to_x(h)) / bnorm < rel_tol:
+            return to_x(h), history
+        t = op(s)
+        omega = float(t @ s) / float(t @ t)
+        y = h + omega * s
+        r = s - omega * t
+        history.append(float(np.linalg.norm(r)) / rhs_norm)
+        if history[-1] < rel_tol and np.linalg.norm(b - A @ to_x(y)) / bnorm < rel_tol:
+            return to_x(y), history
+    return to_x(y), history
+
+
+def allocating_gmres(A, b, M, side, m, rel_tol=1e-8, max_iters=50):
+    """GMRES(m) as the solver runs it on the main path, with a new basis per
+    cycle, one new array per expression and scipy's ``@`` for every product."""
+    A, M = A.to_csr(), M.M.to_csr() if M is not None else None
+    op = {"right": lambda v: A @ (M @ v), "left": lambda v: M @ (A @ v),
+          "none": lambda v: A @ v}[side]
+    to_x = (lambda y: M @ y) if side == "right" else (lambda y: y)
+    bnorm = float(np.linalg.norm(b))
+    rhs = M @ b if side == "left" else b
+    rhs_norm = float(np.linalg.norm(rhs))
+    x, history = np.zeros(len(b)), []
+    for cycle in range(max_iters):
+        r = rhs - op(x) if cycle else rhs.copy()
+        beta = float(np.linalg.norm(r))
+        if beta / rhs_norm < rel_tol and np.linalg.norm(b - A @ to_x(x)) / bnorm < rel_tol:
+            break
+        V = np.zeros((m + 1, len(b)))
+        V[0] = r / beta
+        R, cs, sn, g = [], [], [], [beta]
+        for j in range(m):
+            w = op(V[j])
+            norm_before = float(np.linalg.norm(w))
+            basis = V[: j + 1]
+            h = basis @ w
+            w -= h @ basis
+            h_next = float(np.linalg.norm(w))
+            if h_next < krylov._REORTH_THRESHOLD * norm_before:
+                c = basis @ w
+                w -= c @ basis
+                h += c
+                h_next = float(np.linalg.norm(w))
+            V[j + 1] = w / h_next
+            col = h.tolist()
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      -sn[i] * col[i] + cs[i] * col[i + 1])
+            denom = math.hypot(col[j], h_next)
+            cs.append(col[j] / denom)
+            sn.append(h_next / denom)
+            col[j] = cs[j] * col[j] + sn[j] * h_next
+            R.append(col)
+            g.append(-sn[j] * g[j])
+            g[j] = cs[j] * g[j]
+            history.append(abs(g[j + 1]) / rhs_norm)
+            if history[-1] < rel_tol:
+                break
+        y_small = [0.0] * len(R)
+        for i in range(len(R) - 1, -1, -1):
+            acc = g[i]
+            for k in range(i + 1, len(R)):
+                acc -= R[k][i] * y_small[k]
+            y_small[i] = acc / R[i][i]
+        x = x + np.array(y_small) @ V[: len(R)]
+        if history[-1] < rel_tol and np.linalg.norm(b - A @ to_x(x)) / bnorm < rel_tol:
+            break
+    return to_x(x), history
+
+
+class TestWorkVectorsKeepTheBits:
+    """Both solvers give the iterates and residual histories of the
+    allocating form bit for bit, on every side."""
+
+    @pytest.mark.parametrize("side", ["right", "left", "none"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bicgstab(self, side, seed):
+        rng = np.random.default_rng(61 + seed)
+        A = random_sparse(rng, 40, 0.12, diag_boost=2.5)
+        M = build_preconditioner(A, SaiParams(epsilon=0.3, l_max=4, side=side)) \
+            if side != "none" else None
+        b = rng.standard_normal(40)
+        x, rep = bicgstab(A, b, M=M, params=SolveParams(side=side))
+        x_ref, history = allocating_bicgstab(A, b, M, side)
+        assert rep.converged
+        assert same_bits(x, x_ref) and rep.residual_history == history
+
+    @pytest.mark.parametrize("side", ["right", "left", "none"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gmres(self, side, seed):
+        rng = np.random.default_rng(67 + seed)
+        A = random_sparse(rng, 40, 0.12, diag_boost=2.5)
+        M = build_preconditioner(A, SaiParams(epsilon=0.3, l_max=4, side=side)) \
+            if side != "none" else None
+        b = rng.standard_normal(40)
+        params = SolveParams(method="gmres", restart=5, side=side)
+        x, rep = gmres_restart(A, b, M=M, params=params)
+        x_ref, history = allocating_gmres(A, b, M, side, params.restart)
+        assert rep.converged and rep.iters > params.restart  # restarted at least once
+        assert same_bits(x, x_ref) and rep.residual_history == history
+
+
 class TestCsrCopies:
     def test_built_once_per_matrix(self, monkeypatch):
         """Repeated solves with the same A and M convert each matrix once."""
@@ -376,3 +580,67 @@ class TestStopReason:
             _, rep = fn(A, b, params=params)
         self.check(rep, "non-finite")
         assert rep.iters <= 1  # not run on to the cap of 30 cycles or steps
+
+    def test_bicgstab_breakdown_on_tt(self):
+        # alpha = 1 gives s = (-1, 1), and A s = 0: ||t||^2 = 0 ends the first
+        # step at the half-step iterate h = (1, 1)
+        A = SparseMatrix.from_dense([[1.0, 1.0], [0.0, 0.0]])
+        x, rep = bicgstab(A, np.array([1.0, 1.0]), params=SolveParams(side="none"))
+        self.check(rep, "breakdown")
+        assert rep.iters == 1.0 and rep.matvecs == 3
+        assert np.array_equal(x, [1.0, 1.0])
+        assert rep.residual_history == [1.0] and rep.final_rel_residual == 1.0
+
+    def test_bicgstab_breakdown_on_omega(self):
+        # s = -e2 and t = A s = -e1 are orthogonal, so omega = 0: the step
+        # keeps r = s and the half-step iterate, then stops
+        A = SparseMatrix.from_dense([[1.0, 1.0], [1.0, 0.0]])
+        x, rep = bicgstab(A, np.array([1.0, 0.0]), params=SolveParams(side="none"))
+        self.check(rep, "breakdown")
+        assert rep.iters == 1.0 and rep.matvecs == 3
+        assert np.array_equal(x, [1.0, 0.0])
+        assert rep.residual_history == [1.0, 1.0] and rep.final_rel_residual == 1.0
+
+    def test_bicgstab_non_finite_r(self):
+        # the first product is finite and s = (0, -2), but t = A s overflows:
+        # ||t||^2 = inf gives omega = inf / inf = NaN, so r is NaN
+        A = SparseMatrix.from_dense([[1.0, 0.0], [2.0, 1e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, rep = bicgstab(A, np.array([1.0, 0.0]), params=SolveParams(side="none"))
+        self.check(rep, "non-finite")
+        assert rep.iters == 1.0 and rep.matvecs == 3
+        assert np.isnan(x).all() and np.isnan(rep.final_rel_residual)
+        assert rep.residual_history == [2.0]
+
+    def test_gmres_non_finite_beta_at_a_restart(self):
+        # GMRES(1)'s first cycle is finite (row 0 of A cancels exactly on
+        # (1, 1) / sqrt 2) and returns x near (2^40, 2^40, 0); at the
+        # restart, row 0 of A x overflows to inf - inf = NaN
+        A = SparseMatrix.from_dense([[1e300, -1e300, 0.0], [0.0, 2.0**-40, 0.0],
+                                     [0.0, 0.0, 1.0]])
+        params = SolveParams(method="gmres", restart=1, side="none")
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, rep = gmres_restart(A, np.array([1.0, 1.0, 0.0]), params=params)
+        self.check(rep, "non-finite")
+        assert rep.iters == 1.0 and rep.matvecs == 3  # cycle, restart, accept
+        assert x.tolist() == [1099511627776.0002, 1099511627776.0002, 0.0]
+        assert rep.residual_history == [0.7071067811865475]
+        assert np.isnan(rep.final_rel_residual)
+
+    def test_gmres_converged_at_the_start_of_a_cycle(self):
+        # one GMRES(1) cycle leaves its inner estimate e a rounding above the
+        # residual t that the restart recomputes; with rel_tol = e the cycle
+        # does not stop, and the next one converges at its start
+        A = SparseMatrix.from_dense([[3.0, 2.0, 2.0], [-1.0, 3.0, -3.0], [1.0, 2.0, 3.0]])
+        b = np.array([0.0, -1.0, -1.0])
+        one_cycle = SolveParams(method="gmres", restart=1, side="none", max_iters=1)
+        x1, rep1 = gmres_restart(A, b, params=one_cycle)
+        e, t = rep1.residual_history[-1], rep1.final_rel_residual
+        assert t < e
+        x, rep = gmres_restart(A, b, params=SolveParams(method="gmres", restart=1,
+                                                        side="none", rel_tol=e))
+        self.check(rep, "converged")
+        assert rep.iters == 1.0 and rep.matvecs == 3  # cycle, restart, accept
+        assert rep.residual_history == [e] and rep.final_rel_residual == t
+        assert np.array_equal(x, x1)
+        assert x.tolist() == [0.0, -0.12195121951219513, -0.12195121951219513]

@@ -390,7 +390,10 @@ def cmd_solve(spec: ExperimentSpec) -> int:
     M = load_matrix_market(saved) if saved else None  # loaded once, for every matrix
     label = "none" if spec.no_precond else str(saved or _drop_label(spec.sai))
     rows = []
-    for name, A in matrices:
+    for path, (name, A) in zip(spec.matrices, matrices):
+        if saved and M.shape != A.shape:
+            raise SystemExit(f"{saved}: the preconditioner is {M.nrows}x{M.ncols}, but "
+                             f"{path} is {A.nrows}x{A.ncols}")
         if not (spec.no_precond or saved):
             M = build_preconditioner(A, spec.sai, threads=spec.threads)
         for params, rep in _solve_all(A, M, spec.solvers):

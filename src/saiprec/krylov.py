@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from .core import SparseMatrix
+from .core import SparseMatrix, _as_index
 from .psai import Preconditioner
 
 _REORTH_THRESHOLD = 0.7071  # second CGS pass when the first loses half the mass
@@ -53,9 +53,9 @@ class SolveParams:
             raise ValueError("method must be 'bicgstab' or 'gmres'")
         if not 0.0 < self.rel_tol < 1.0:  # also rejects NaN and inf
             raise ValueError("rel_tol must be positive and below 1")
-        if self.restart < 1:
+        if _as_index(self.restart, "restart") < 1:
             raise ValueError("restart length must be at least 1")
-        if self.max_iters < 1:
+        if _as_index(self.max_iters, "max_iters") < 1:
             raise ValueError("max_iters must be at least 1")
         if self.side not in ("right", "left", "none"):
             raise ValueError("side must be 'right', 'left' or 'none'")

@@ -80,7 +80,7 @@ class SaiParams:
                 "epsilon >= 0.5: the dropping theory assumes epsilon < 0.5",
                 stacklevel=2,
             )
-        if self.l_max < 1:
+        if _as_index(self.l_max, "l_max") < 1:
             raise ValueError("l_max must be at least 1")
         if self.drop_mode not in DROP_MODES:
             raise ValueError(f"drop_mode must be one of {DROP_MODES}")
@@ -349,6 +349,8 @@ def _build_columns(A: SparseMatrix, block, args: tuple, params: SaiParams | None
     a_one_norm, *args)`` on consecutive blocks ``ks`` of ``_BLOCK_COLUMNS``
     columns (a list of column hand-offs each), assemble M in solver-ready
     orientation and time the whole build."""
+    if _as_index(threads, "threads") < 0:
+        raise ValueError(f"threads must be 0 or more, got {threads}")
     if A.nrows != A.ncols:
         raise ValueError("square matrix required")
     if 0 in A.shape:

@@ -18,7 +18,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseMatrix, _gather_blocks, _kept_entries
+from .core import SparseMatrix, _as_index, _gather_blocks, _kept_entries
 from .diagnostics import _column_norms, _residual_matrix
 from .lsq import ColumnLeastSquares
 from .psai import Preconditioner, _build_columns, _column_result, _drop_mask
@@ -51,9 +51,11 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
     A zero row j of A leaves column j of the "abs" and "normal" patterns
     empty, which :func:`static_build` rejects.
     """
+    if A.nrows != A.ncols:
+        raise ValueError("square matrix required")
     if kind not in PATTERN_KINDS:
         raise ValueError(f"kind must be one of {PATTERN_KINDS}")
-    if k < 1:
+    if _as_index(k, "k") < 1:
         raise ValueError("power must be at least 1")
     S = sp.csc_matrix((np.ones(A.nnz), A.row_idx, A.col_ptr), shape=A.shape)
     eye = sp.identity(A.nrows, format="csc")

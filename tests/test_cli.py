@@ -120,6 +120,16 @@ class TestSolveCommand:
         assert loaded == []
         assert not (tmp_path / "out").exists()
 
+    def test_precond_of_another_order_stops(self, tmp_path):
+        # a 5 x 5 M with a 4 x 4 A failed inside the solver
+        M, A = tmp_path / "M.mtx", tmp_path / "A.mtx"
+        save_matrix_market(M, SparseMatrix.identity(5))
+        save_matrix_market(A, SparseMatrix.identity(4))
+        message = f"{re.escape(str(M))}: the preconditioner is 5x5, but {re.escape(str(A))} is 4x4"
+        with pytest.raises(SystemExit, match=message):
+            main(["solve", "--matrix", str(A), "--precond", str(M), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out" / "solve.csv").exists()
+
     def test_precond_loaded_once(self, demo_matrix, tmp_path, monkeypatch):
         _, path = demo_matrix
         out = tmp_path / "out"

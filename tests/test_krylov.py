@@ -503,6 +503,14 @@ class TestSolveParams:
         with pytest.raises(ValueError, match="rel_tol must be positive and below 1"):
             SolveParams(rel_tol=rel_tol)
 
+    @pytest.mark.parametrize("name", ["restart", "max_iters"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_counts_must_be_integers(self, name, value):
+        # a float failed in range() inside the solve, and True acted as 1
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+            SolveParams(**{name: value})
+        assert getattr(SolveParams(**{name: np.int32(3)}), name) == 3
+
 
 class TestStopReason:
     """Every exit of both solvers names its reason, and the flags agree."""

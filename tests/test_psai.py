@@ -70,6 +70,13 @@ class TestSaiParams:
         with pytest.raises(ValueError, match=message):
             SaiParams(**kwargs)
 
+    @pytest.mark.parametrize("l_max", [2.5, 3.0, True, False, "3", None])
+    def test_l_max_must_be_an_integer(self, l_max):
+        # a float took its ceiling of loops, and True one loop
+        with pytest.raises(TypeError, match=f"l_max must be an integer, got {l_max!r}"):
+            SaiParams(l_max=l_max)
+        assert SaiParams(l_max=np.int64(3)).l_max == 3
+
     @pytest.mark.parametrize("kwargs, drops", [
         ({"drop_mode": "none"}, False),
         ({"drop_mode": "none", "drop_scale": 2.0}, False),
@@ -385,6 +392,24 @@ class TestZeroColumn:
         P = static_build(A, make_pattern(A, "iplusa", 2))
         assert P.M.column(3)[0].size == 0
         assert P.records[3].rank_flag
+
+
+@pytest.mark.parametrize("build", [
+    lambda A, threads: build_preconditioner(A, SaiParams(epsilon=0.3, l_max=2), threads=threads),
+    lambda A, threads: static_build(A, make_pattern(A, "iplusa", 1), threads=threads),
+], ids=["adaptive", "static"])
+@pytest.mark.parametrize("threads, error, message", [
+    (2.5, TypeError, "threads must be an integer, got 2.5"),
+    (True, TypeError, "threads must be an integer, got True"),
+    ("2", TypeError, "threads must be an integer, got '2'"),
+    (-3, ValueError, "threads must be 0 or more, got -3"),
+])
+def test_threads_must_be_a_nonnegative_integer(build, threads, error, message):
+    # these ran in-process before
+    A = SparseMatrix.identity(4)
+    with pytest.raises(error, match=message):
+        build(A, threads)
+    assert build(A, np.int64(0)).M.equals(A)
 
 
 class TestEmptyMatrix:

@@ -69,6 +69,18 @@ class TestMakePattern:
         with pytest.raises(ValueError):
             make_pattern(SparseMatrix.identity(3), "iplusa", 0)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_power_must_be_an_integer(self, k):
+        with pytest.raises(TypeError, match=f"k must be an integer, got {k!r}"):
+            make_pattern(SparseMatrix.identity(3), "iplusa", k)
+        assert make_pattern(SparseMatrix.identity(3), "iplusa", np.int64(2)).nnz == 3
+
+    @pytest.mark.parametrize("kind", ["iplusa", "abs", "normal"])
+    def test_non_square_rejected(self, kind):
+        # "normal" returned a 4 x 3 pattern, the others failed inside scipy
+        with pytest.raises(ValueError, match="square matrix required"):
+            make_pattern(SparseMatrix.from_dense(np.ones((3, 4))), kind, 1)
+
 
 class TestStaticBuild:
     @pytest.mark.parametrize("kind", ["abs", "normal"])

@@ -1,37 +1,41 @@
 #!/usr/bin/env python3
-"""Bit-identity harness for the preconditioner builders.
+"""Bit-identity harness for the preconditioner builds and the benchmark's solves.
 
 ``run`` builds a fixed set of configurations with the saiprec found under
 ``--src`` and writes, for each one, the arrays of M (and of the postfiltered
 M_d for the static builds), ``a_one_norm`` and every ``ColumnBuildRecord``
 field to one ``.npz`` file; for the small matrices it also writes the
 ``quality_report`` of every build and the ``verify_drop_guarantees`` checks
-of the diagnostics cases, and for the one-worker builds of the benchmark
-operators the ``check_nonsingular`` verdict and rcond of M (and of M_d).
-``compare`` lists the configurations whose arrays differ in any bit between
-two such files; a differing quality row is named by the ``QualityReport``
-fields that differ, as in ``quality[nonsingular, rcond]``, and a differing
-verdict row likewise, as in ``check_nonsingular[rcond]``. From the
-repository root:
+of the diagnostics cases, for the one-worker builds of the benchmark
+operators the ``check_nonsingular`` verdict and rcond of M, and for their
+seed-0 builds the benchmark's solves. ``compare`` lists the configurations
+whose arrays differ in any bit between two such files, and every solve that
+differs in any bit; a differing quality row is named by the
+``QualityReport`` fields that differ, as in ``quality[nonsingular, rcond]``,
+a differing verdict row likewise, as in ``check_nonsingular[rcond]``, and a
+differing solve by its fields, as in ``DIFFERS
+static-cd3d/M/solve-gmres-03: iterate, residual_history``. It prints how many
+builds differ and, per side (right, left, none), how many solves, and exits 1
+if anything differs or is missing in one file. From the repository root:
 
     python3 tools/compare_builds.py run --src <checkout>/src --out before.npz
     python3 tools/compare_builds.py run --src src --out after.npz
     python3 tools/compare_builds.py compare before.npz after.npz
     python3 tools/compare_builds.py compare before.npz after.npz --rtol 1e-12
 
-With ``--rtol``, for a change that moves rounding: each column k of M (of
-the operand, for a left-side build) is compared as a dense vector, a missing
-entry counting as 0, and passes when ||m_k - m'_k||_2 <= rtol *
-max(||m_k||_2, 1/||A||_1). Records must match exactly, except the residuals
-(within rtol, relative to max(r, 1)) and the postfilter tolerances (within
-rtol, relative). Every column outside that is listed with its cause and its
-margin: entries of rounding size that are exactly 0.0 on the other side; a
-guard that chose between two magnitudes that tie or are noise (``guard_gap``
-below 1e-10); or a postfilter tolerance moved because nnz(m_k) counted such
-an entry. A column with no such cause, a missing array, a differing
-``a_one_norm``, a diagnostic outside rtol with no divergent column to
-explain it, or a two-worker build that differs in any bit from its
-one-worker twin fails the comparison (exit code 1).
+With ``--rtol``, for a change that moves rounding, the solves are skipped and
+each column k of M (of the operand, for a left-side build) is compared as a
+dense vector, a missing entry counting as 0, and passes when ||m_k -
+m'_k||_2 <= rtol * max(||m_k||_2, 1/||A||_1). Records must match exactly,
+except the residuals (within rtol, relative to max(r, 1)) and the postfilter
+tolerances (within rtol, relative). Every column outside that is listed with
+its cause and its margin: entries of rounding size that are exactly 0.0 on
+the other side; a guard that chose between two magnitudes that tie or are
+noise (``guard_gap`` below 1e-10); or a postfilter tolerance moved because
+nnz(m_k) counted such an entry. A column with no such cause, a missing
+array, a differing ``a_one_norm``, a diagnostic outside rtol with no
+divergent column to explain it, or a two-worker build that differs in any
+bit from its one-worker twin fails the comparison (exit code 1).
 
 The set: 240 small random builds (80 matrices of order 4-25 with
 small-integer entries, some block-diagonal, some with a zero column, each
@@ -39,16 +43,15 @@ built with drop modes none, adaptive and fixed, on the right or the left side,
 with random epsilon and l_max); the static builds of the same 80 matrices on
 their "abs" and "normal" patterns (random power 1-3, random postfilter floor)
 and the postfiltered M_d of each, except where a zero row of A leaves a
-pattern column empty; the static (I+A)^3 build of the benchmark's
-convection-diffusion operator and its postfiltered M_d; and the adaptive build
-of the benchmark's reservoir operator for seeds 0, 1 and 2. The
-convection-diffusion build and the seed-0 reservoir build run a second time
-with ``threads=2``, so the worker-pool path is compared too. The one-worker
-convection-diffusion M and M_d and the three reservoir M each store
-``check_nonsingular``'s ``(nonsingular, rcond)`` as a float64 row, one LU
-each. The large operators come from ``perfbench/generators.py``. BLAS runs
-on one thread unless the environment says otherwise, so both sides round
-alike.
+pattern column empty; and the builds of the benchmark workloads of
+``perfbench/workloads.py``, with its operators, parameters, right-hand sides
+and solvers: the static (I+A)^power build of the convection-diffusion
+operator and its postfiltered M_d, and the adaptive build of the reservoir
+operator for seeds 0, 1 and 2. Each seed-0 benchmark build also runs a
+second time with two workers, so the worker-pool path is compared too. The
+one-worker benchmark builds each store ``check_nonsingular``'s
+``(nonsingular, rcond)`` as a float64 row, one LU each. BLAS runs on one
+thread unless the environment says otherwise, so both sides round alike.
 
 Diagnostics: every build of the 80 small matrices also stores its
 ``quality_report`` (each field as float64, the per-column residuals last; a
@@ -59,12 +62,24 @@ none, adaptive and fixed at one epsilon and l_max, and
 ``verify_drop_guarantees`` of the none M against each dropped M, stored as
 ``applicable``, ``passed`` (NaN for None) and the ``details`` values in key
 order, with the check names and key lists beside them.
+
+Solves: on each seed-0 benchmark operator, every solver of the workload runs
+right-preconditioned on every right-hand side with each M the workload
+solves with (M, and M_d for the static build). An adaptive workload also
+builds M with ``side="left"`` (label ``M-left``, stored as one more build)
+and runs every solver left-preconditioned with it on every right-hand side.
+Every solver also runs unpreconditioned (label ``none``, no build arrays) on
+the first ``NONE_RHS`` right-hand sides. A solve is stored under its build
+as ``solve-<method>-<rhs>``: ``iters``, ``converged``, ``matvecs`` and
+``final_rel_residual``, with the SHA-256 digests of its iterate and of its
+residual history under the same name plus ``#sha256``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -88,6 +103,13 @@ RESIDUAL_NORM = QUALITY_FIELDS.index("am_minus_i_one_norm")
 STRUCT_COUNTS = {QUALITY_FIELDS.index("p"), QUALITY_FIELDS.index("p_d")}
 GUARD_TIE = 1e-10  # a guard gap below this, relative to the column's scale, is a tie or noise
 TOLERANCES = ("tol_min", "tol_max")
+SEEDS = (0, 1, 2)  # of the reservoir operator; the convection-diffusion one draws none
+NONE_RHS = 3  # right-hand sides solved without a preconditioner, per operator
+SOLVE = "solve-"  # prefix of the array name of a stored solve
+SOLVE_FIELDS = ("iters", "converged", "matvecs", "final_rel_residual")
+DIGESTS = ("iterate", "residual_history")
+DIGEST_KEY = "#sha256"  # suffix of the array that holds a solve's digests
+SIDES = ("right", "left", "none")
 
 
 def _row_label(what: str, differs: np.ndarray) -> str:
@@ -209,11 +231,68 @@ def _diagnostics(A, epsilon, l_max, tol):
     return out
 
 
+def _sha256(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def record_solve(arrays: dict, key: str, x, report) -> None:
+    """Store one solve under ``key``: its SOLVE_FIELDS, and the digests of
+    its iterate and residual history under ``key + DIGEST_KEY``."""
+    arrays[key] = np.array([float(getattr(report, f)) for f in SOLVE_FIELDS])
+    arrays[key + DIGEST_KEY] = np.array([_sha256(x), _sha256(report.residual_history)])
+
+
+def _benchmark(w, seed: int, threads: int = 1):
+    """The build of workload ``w`` on its operator at ``seed``; with one
+    worker, each M with its ``check_nonsingular`` row, and at seed 0 with
+    the solves of :func:`_solved`."""
+    import workloads
+
+    A = w.make_matrix(seed)
+    if w.build == "static":
+        built = _static(A, "iplusa", w.power, workloads.FLOOR, threads)
+    else:
+        P, gap = _build(A, workloads.ADAPTIVE, threads)
+        built = [("M", P, gap)]
+    if threads != 1:
+        return built
+    built = [(label, P, {**extra, **_nonsingular(P)}) for label, P, extra in built]
+    return _solved(w, A, built) if seed == SEEDS[0] else built
+
+
+def _solved(w, A, built):
+    """``built`` with the workload's solves: right-preconditioned with each
+    M it solves with, on every right-hand side; for an adaptive workload,
+    the left-side build ``M-left`` and its left-preconditioned solves; and
+    the unpreconditioned solves on the first NONE_RHS right-hand sides,
+    under the label ``none`` with no M."""
+    import generators
+    import workloads
+    from saiprec import krylov
+
+    rhs = generators.right_hand_sides(A, SEEDS[0], w.rhs_count)
+
+    def solves(M, side, count=len(rhs)):
+        out = {}
+        for i, b in enumerate(rhs[:count]):
+            for params in workloads.SOLVERS:
+                x, rep = krylov.solve(A, b, M=M, params=dataclasses.replace(params, side=side))
+                record_solve(out, f"{SOLVE}{params.method}-{i:02d}", x, rep)
+        return out
+
+    out = [(label, P, {**extra, **solves(P, "right")}) if label in w.solve_with
+           else (label, P, extra) for label, P, extra in built]
+    if w.build == "adaptive":
+        P, gap = _build(A, dataclasses.replace(workloads.ADAPTIVE, side="left"))
+        out.append(("M-left", P, {**gap, **_nonsingular(P), **solves(P, "left")}))
+    return out + [("none", None, solves(None, "none", NONE_RHS))]
+
+
 def _configs():
     """(name, thunk) pairs; each thunk returns a list of (label,
-    Preconditioner, extra arrays)."""
+    Preconditioner or None, extra arrays)."""
     from saiprec import SaiParams, SparseMatrix
-    import generators
+    import workloads
 
     rng = np.random.default_rng(20240601)
     static_rng = np.random.default_rng(20240602)  # apart, so the other builds stay as they were
@@ -243,22 +322,14 @@ def _configs():
                lambda A=A, epsilon=epsilon, l_max=l_max, tol=tol:
                _diagnostics(A, epsilon, l_max, tol))
 
-    def cd3d(threads):
-        built = _static(generators.convection_diffusion_3d(), "iplusa", 3, 0.1, threads)
-        return [(label, P, _nonsingular(P) if threads == 1 else extra)
-                for label, P, extra in built]
-
-    def reservoir(seed, threads):
-        params = SaiParams(epsilon=0.2, l_max=8, drop_mode="adaptive")
-        A = generators.reservoir_3d(seed, 5.0, 1.02)
-        P, gap = _build(A, params, threads)
-        return [("M", P, {**gap, **_nonsingular(P)} if threads == 1 else gap)]
-
-    yield "static-cd3d", lambda: cd3d(1)
-    for seed in (0, 1, 2):
-        yield f"adaptive-reservoir-{seed}", lambda seed=seed: reservoir(seed, 1)
-    yield "static-cd3d-threads2", lambda: cd3d(2)
-    yield "adaptive-reservoir-0-threads2", lambda: reservoir(0, 2)
+    runs = [(f"{w.name}-{seed}" if w.matrix == "reservoir" else w.name, w, seed)
+            for w in workloads.WORKLOADS.values()
+            for seed in (SEEDS if w.matrix == "reservoir" else SEEDS[:1])]
+    for name, w, seed in runs:
+        yield name, lambda w=w, seed=seed: _benchmark(w, seed)
+    for name, w, seed in runs:
+        if seed == SEEDS[0]:
+            yield f"{name}-threads2", lambda w=w, seed=seed: _benchmark(w, seed, threads=2)
 
 
 def _record_array(records) -> np.ndarray:
@@ -274,27 +345,59 @@ def cmd_run(src: Path, out: Path) -> int:
     for name, build in _configs():
         for label, P, extra in build():
             key = f"{name}/{label}"
-            arrays[f"{key}/col_ptr"] = P.M.col_ptr
-            arrays[f"{key}/row_idx"] = P.M.row_idx
-            arrays[f"{key}/values"] = P.M.values
-            arrays[f"{key}/a_one_norm"] = np.array([P.a_one_norm])
-            arrays[f"{key}/left"] = np.array([P.side == "left"])
-            arrays[f"{key}/records"] = _record_array(P.records)
+            if P is not None:
+                arrays[f"{key}/col_ptr"] = P.M.col_ptr
+                arrays[f"{key}/row_idx"] = P.M.row_idx
+                arrays[f"{key}/values"] = P.M.values
+                arrays[f"{key}/a_one_norm"] = np.array([P.a_one_norm])
+                arrays[f"{key}/left"] = np.array([P.side == "left"])
+                arrays[f"{key}/records"] = _record_array(P.records)
             arrays.update({f"{key}/{what}": value for what, value in extra.items()})
         print(name, flush=True)
     np.savez_compressed(out, **arrays)
-    print(f"wrote {len({key.rsplit('/', 1)[0] for key in arrays})} builds to {out}")
+    solves = sum(_is_solve(key) for key in arrays) // 2
+    print(f"wrote {len(_builds(arrays))} builds and {solves} solves to {out}")
     return 0
+
+
+def _is_solve(key: str) -> bool:
+    return key.rsplit("/", 1)[1].startswith(SOLVE)
+
+
+def _builds(keys) -> set:
+    """``<config>/<label>`` of every build that ``keys`` hold arrays of."""
+    return {key.rsplit("/", 1)[0] for key in keys if not _is_solve(key)}
+
+
+def _solve_line(a: dict, b: dict, key: str, first: Path, second: Path) -> str | None:
+    """The line naming what differs, bit for bit, between the two stored
+    copies of the solve ``key``, or None when nothing does."""
+    if not all(k in f for f in (a, b) for k in (key, key + DIGEST_KEY)):
+        in_first = key in a and key + DIGEST_KEY in a
+        return f"MISSING {key}: only in {first if in_first else second}"
+    moved = [f"{f} {va!r} -> {vb!r}"
+             for f, va, vb in zip(SOLVE_FIELDS, a[key].tolist(), b[key].tolist())
+             if np.float64(va).tobytes() != np.float64(vb).tobytes()]
+    da, db = a[key + DIGEST_KEY], b[key + DIGEST_KEY]
+    moved += [name for name, ha, hb in zip(DIGESTS, da, db) if ha != hb]
+    return f"DIFFERS {key}: {', '.join(moved)}" if moved else None
 
 
 def cmd_compare(first: Path, second: Path, rtol: float | None = None) -> int:
     with np.load(first, allow_pickle=False) as fa, np.load(second, allow_pickle=False) as fb:
         a, b = dict(fa), dict(fb)
     if rtol is not None:
+        a, b = ({k: v for k, v in x.items() if not _is_solve(k)} for x in (a, b))
         return _compare_within(a, b, rtol)
     keys = sorted(set(a) | set(b))
-    differ = {}
+    differ, solves = {}, []  # solves: (side, line or None) in key order
     for key in keys:
+        if _is_solve(key):
+            if not key.endswith(DIGEST_KEY):
+                label = key.split("/")[1]
+                side = "none" if label == "none" else "left" if label.endswith("-left") else "right"
+                solves.append((side, _solve_line(a, b, key, first, second)))
+            continue
         same = (key in a and key in b and a[key].dtype == b[key].dtype
                 and a[key].shape == b[key].shape and a[key].tobytes() == b[key].tobytes())
         if not same:
@@ -303,11 +406,18 @@ def cmd_compare(first: Path, second: Path, rtol: float | None = None) -> int:
                     and a[key].dtype == b[key].dtype == np.float64:
                 what = _row_label(what, a[key].view(np.uint64) != b[key].view(np.uint64))
             differ.setdefault(f"{name}/{label}", []).append(what)
-    builds = len({k.rsplit("/", 1)[0] for k in keys})
     for build, fields in sorted(differ.items()):
         print(f"DIFFERS {build}: {', '.join(fields)}")
-    print(f"{len(differ)} of {builds} builds differ")
-    return 1 if differ else 0
+    for _, line in solves:
+        if line is not None:
+            print(line)
+    print(f"{len(differ)} of {len(_builds(keys))} builds differ")
+    for side in SIDES:
+        lines = [line for s, line in solves if s == side]
+        if lines:
+            count = sum(line is not None for line in lines)
+            print(f"{side} side: {count} of {len(lines)} solves differ")
+    return 1 if differ or any(line is not None for _, line in solves) else 0
 
 
 def _matrix(arrays: dict, build: str):

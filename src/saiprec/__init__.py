@@ -15,7 +15,6 @@ from .core import (
 )
 from .lsq import ColumnLeastSquares
 from .psai import (
-    ColumnBuildRecord,
     Preconditioner,
     SaiParams,
     adaptive_drop_tolerance,
@@ -41,7 +40,6 @@ __all__ = [
     "load_matrix_market",
     "save_matrix_market",
     "ColumnLeastSquares",
-    "ColumnBuildRecord",
     "Preconditioner",
     "SaiParams",
     "adaptive_drop_tolerance",

@@ -198,7 +198,7 @@ OPTIONS = (
            "comma list of fixed tolerances", "", ("sweep",), "list"),
     Option("patterns", "--pattern", "[static] patterns", _parse_pattern,
            "iplusa:<k> | abs:<k> | normal:<k> (repeatable)", "iplusa:3", ("static",), "append"),
-    Option("floor", "--floor", "[static] floor", _checked_floor,
+    Option("floor", "--floor", "[static] floor", lambda text: _checked_floor(float(text)),
            "residual floor inside the postfilter tolerance", commands=("static",)),
     Option("out", "--out", "[output] dir", Path, "output directory", "out", (*_RUNS, "report")),
     Option("threads", "--threads", "[output] threads", _parse_threads,
@@ -318,6 +318,7 @@ BUILD_HEADER = [
     "r_max_post", "coln", "mintol", "maxtol", "nonsingular", "rcond", "ptime",
 ]
 COLUMNS_HEADER = ["k", "pre_drop", "post_drop", "nnz", "loops", "drop"]
+COLUMN_FIELDS = ("k", "pre_drop_residual", "post_drop_residual", "nnz_final", "loops_used")
 SOLVE_HEADER = [
     "matrix", "method", "side", "precond", "converged", "dagger", "iters",
     "matvecs", "precond_applies", "rel_residual", "stime", "reason",
@@ -371,9 +372,7 @@ def cmd_build(spec: ExperimentSpec) -> int:
             nonsingular, rcond, P.build_time,
         ]])
         _write_csv(spec.out / f"{name}_columns.csv", COLUMNS_HEADER, [
-            [r.k, r.pre_drop_residual, r.post_drop_residual, r.nnz_final, r.loops_used, label]
-            for r in P.records
-        ])
+            [*row, label] for row in P.records[list(COLUMN_FIELDS)].tolist()])
         save_matrix_market(spec.out / f"{name}_M.mtx", P.M, comment=f"SAI of {name}, {label}")
         print(
             f"{name}: n={A.nrows} nnz={A.nnz} spar={P.spar:.2f} "

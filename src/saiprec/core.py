@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import numbers
 import operator
 import warnings
 from pathlib import Path
@@ -74,6 +75,13 @@ def _as_index(k, name: str) -> int:
         return operator.index(k)
     except TypeError:
         raise TypeError(f"{name} must be an integer, got {k!r}") from None
+
+
+def _as_real(x, name: str) -> float:
+    """``x`` as a float; a boolean, string or other non-real raises ``TypeError``."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {x!r}")
+    return float(x)
 
 
 class SparseMatrix:

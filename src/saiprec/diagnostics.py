@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .core import SparseMatrix
-from .psai import Preconditioner
+from .psai import Preconditioner, _checked_epsilon
 
 _EPS = np.finfo(np.float64).eps
 _STRUCT_TOL = 1e-14  # entries at or below this count as structural zeros
@@ -227,6 +227,7 @@ def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,
     ``reference`` supplies the unfiltered preconditioner when P is a dropped
     or filtered one, so that both residual-nnz bounds p and p_d are reported.
     """
+    _checked_epsilon(epsilon)
     operand = A.transpose() if P.side == "left" else A
     M = P.M.transpose() if P.side == "left" else P.M
     res_norm, _, per_column, p_d = _column_pass(_residual_matrix(operand, M))
@@ -266,6 +267,7 @@ def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
     failed check. Each of A M - I, A M_d - I and F = M - M_d is reduced in
     one column pass, and M_d is checked by ``check_nonsingular`` at most once.
     """
+    _checked_epsilon(epsilon)
     a_norm = A.one_norm()
     f_norm, f_cols_1, _, _ = _column_pass((M.to_scipy() - M_d.to_scipy()).tocsc())
     res_norm, col_res_1, col_res_2, p = _column_pass(_residual_matrix(A, M))

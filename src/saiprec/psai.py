@@ -39,7 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._parallel import map_columns
-from .core import SparseMatrix, _as_index, _gather_blocks, _merged_supports, assemble_columns
+from .core import SparseMatrix, _as_index, _as_real, _gather_blocks, _merged_supports, assemble_columns
 from .lsq import ColumnLeastSquares
 
 DROP_MODES = ("none", "adaptive", "fixed")
@@ -73,9 +73,7 @@ class SaiParams:
     side: str = "right"
 
     def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.epsilon >= 0.5:
+        if _checked_epsilon(self.epsilon) >= 0.5:
             warnings.warn(
                 "epsilon >= 0.5: the dropping theory assumes epsilon < 0.5",
                 stacklevel=2,
@@ -85,9 +83,9 @@ class SaiParams:
         if self.drop_mode not in DROP_MODES:
             raise ValueError(f"drop_mode must be one of {DROP_MODES}")
         if self.drop_mode == "fixed":
-            if self.tol is None or not 0.0 < self.tol < np.inf:
+            if self.tol is None or not 0.0 < _as_real(self.tol, "tol") < np.inf:
                 raise ValueError("fixed drop mode needs tol > 0 and finite")
-        if not 0.0 <= self.drop_scale < np.inf:
+        if not 0.0 <= _as_real(self.drop_scale, "drop_scale") < np.inf:
             raise ValueError("drop_scale must be nonnegative and finite")
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}")
@@ -100,21 +98,11 @@ class SaiParams:
             self.drop_mode == "adaptive" and self.drop_scale != 0.0)
 
 
-@dataclass
-class ColumnBuildRecord:
-    """Per-column outcome of a build."""
-
-    k: int
-    loops_used: int
-    pre_drop_residual: float
-    post_drop_residual: float
-    nnz_final: int
-    met_accuracy: bool | None
-    rank_flag: bool = False
-    guard_flag: bool = False
-    stalled: bool = False
-    tol_min: float | None = None
-    tol_max: float | None = None
+# one record per operand column; NaN tolerances: the column ran no drop step
+RECORD_DTYPE = np.dtype([
+    ("k", np.int64), ("loops_used", np.int64), ("pre_drop_residual", float),
+    ("post_drop_residual", float), ("nnz_final", np.int64), ("rank_flag", bool),
+    ("guard_flag", bool), ("stalled", bool), ("tol_min", float), ("tol_max", float)])
 
 
 @dataclass
@@ -127,7 +115,7 @@ class Preconditioner:
     """
 
     M: SparseMatrix
-    records: list[ColumnBuildRecord]
+    records: np.recarray  # of RECORD_DTYPE, one row per operand column
     params: SaiParams | None
     a_one_norm: float
     a_nnz: int
@@ -146,32 +134,41 @@ class Preconditioner:
     @property
     def r_max(self) -> float:
         """Largest controlling (pre-drop) LS residual over the columns."""
-        return max(r.pre_drop_residual for r in self.records)
+        return float(self.records.pre_drop_residual.max())
 
     @property
     def r_max_post(self) -> float:
         """Largest residual of the emitted (post-drop) columns; this is the
         number that explodes when a dropping tolerance is chosen too large."""
-        return max(r.post_drop_residual for r in self.records)
+        return float(self.records.post_drop_residual.max())
 
     def coln(self, epsilon: float) -> int:
-        return sum(1 for r in self.records if r.pre_drop_residual > epsilon)
+        return int(np.count_nonzero(self.records.pre_drop_residual > epsilon))
 
     def tol_range(self):
-        lows = [r.tol_min for r in self.records if r.tol_min is not None]
-        highs = [r.tol_max for r in self.records if r.tol_max is not None]
-        if not lows:
+        """Least and largest drop tolerance; (None, None) if no column dropped."""
+        if np.isnan(self.records.tol_min).all():
             return None, None
-        return min(lows), max(highs)
+        return float(np.nanmin(self.records.tol_min)), float(np.nanmax(self.records.tol_max))
+
+
+def _checked_epsilon(epsilon) -> float:
+    """``epsilon`` as a float in (0, 1), the targets the dropping theory covers."""
+    if not 0.0 < _as_real(epsilon, "epsilon") < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    return float(epsilon)
 
 
 def adaptive_drop_tolerance(epsilon: float, nnz_mk, a_one_norm: float):
     """Adaptive dropping tolerance eps / (nnz(m_k) * ||A||_1), one per count."""
-    if not epsilon > 0.0:
+    if not _as_real(epsilon, "epsilon") > 0.0:
         raise ValueError("epsilon must be positive")
-    if np.any(np.asarray(nnz_mk) < 1):
+    counts = np.asarray(nnz_mk)
+    if counts.dtype.kind not in "iu":
+        raise TypeError(f"nnz_mk must be an integer count, got {nnz_mk!r}")
+    if np.any(counts < 1):
         raise ValueError("nnz_mk must be at least 1")
-    if not 0.0 < a_one_norm < np.inf:
+    if not 0.0 < _as_real(a_one_norm, "a_one_norm") < np.inf:
         raise ValueError("a_one_norm must be positive and finite")
     return epsilon / (nnz_mk * a_one_norm)
 
@@ -222,7 +219,7 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
     its own least-squares state, and if ``params.drops`` one ``_drop_mask``
     pass drops from all of them, each keeping at least its largest entry
     (the guard); with ``a_one_norm`` None (the plain builder) no column
-    drops. Returns the hand-off of each column, in order."""
+    drops. Returns the columns ``(indices, values)`` and their record table."""
     ks = np.asarray(ks, dtype=np.int64)
     n, eps = A.ncols, params.epsilon
     drops = a_one_norm is not None and params.drops
@@ -237,22 +234,18 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
     guard = np.zeros(ks.size, dtype=bool)
     tol_min = np.full(ks.size, np.nan)  # NaN until the column's first drop step
     tol_max = np.full(ks.size, np.nan)
-    handoffs = [None] * ks.size
+    columns, read = [None] * ks.size, [None] * ks.size  # filled as the columns stop
     active = np.arange(ks.size)  # the slots of the columns that took the last step
     V = sp.csc_matrix((np.ones(ks.size), ks, np.arange(ks.size + 1)), shape=(n, ks.size))
     while True:
         grows = ~stalled[active] & (residual[active] > eps) & (loops[active] < params.l_max)
         for slot in active[~grows].tolist():
-            handoffs[slot] = _column_result(
-                states[slot], int(ks[slot]), loops_used=int(loops[slot]),
-                pre_drop_residual=float(residual[slot]), met_accuracy=bool(residual[slot] <= eps),
-                guard_flag=bool(guard[slot]), stalled=bool(stalled[slot]),
-                tol_min=None if np.isnan(tol_min[slot]) else float(tol_min[slot]),
-                tol_max=None if np.isnan(tol_max[slot]) else float(tol_max[slot]),
-            )
+            columns[slot], read[slot] = _column_result(states[slot])
             states[slot] = None
         if not grows.any():
-            return handoffs
+            return columns, _record_table(
+                ks, read, loops_used=loops, pre_drop_residual=residual, guard_flag=guard,
+                stalled=stalled, tol_min=tol_min, tol_max=tol_max)
         if not grows.all():
             keep = np.flatnonzero(grows)
             active, V = active[keep], V[:, keep]
@@ -298,25 +291,33 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
             state.shrink(state.support[~kept[at[i]:at[i] + counts[i]]])
 
 
-def _column_result(state: ColumnLeastSquares, k: int, **fields):
-    """The hand-off of every built column: ``((indices, values), record)``
-    read from its least-squares ``state``, with the record fields the state
-    does not hold given as ``fields``."""
+def _column_result(state: ColumnLeastSquares):
+    """The hand-off of every built column, read off its least-squares
+    ``state``: ``(indices, values)`` and the record fields the state holds,
+    ``(post_drop_residual, nnz_final, rank_flag)``."""
     solution = state.solution
-    return (state.support, solution), ColumnBuildRecord(
-        k=k,
-        post_drop_residual=state.residual_norm,
-        nnz_final=int(np.count_nonzero(solution)),
-        rank_flag=state.rank_flag,
-        **fields,
-    )
+    return (state.support, solution), (state.residual_norm, np.count_nonzero(solution),
+                                       state.rank_flag)
+
+
+def _record_table(ks, read, **fields) -> np.recarray:
+    """The records of the columns ``ks``: the fields ``read`` off each state by
+    :func:`_column_result`, then ``fields``, one array each; a field not given
+    is 0 or False, or NaN for a tolerance."""
+    table = np.zeros(len(ks), dtype=RECORD_DTYPE).view(np.recarray)
+    table.tol_min = table.tol_max = np.nan
+    table.k = ks
+    table.post_drop_residual, table.nnz_final, table.rank_flag = zip(*read)
+    for name, values in fields.items():
+        table[name] = values
+    return table
 
 
 def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):
     """One column of the no-dropping adaptive builder, as ``((indices, values),
     record)`` with increasing indices; values may hold exact zeros, which
     :func:`assemble_columns` purges (``record.nnz_final`` does not count them).
-    It is the block kernel the build runs, on the block of column k alone."""
+    It is the block kernel the build runs on column k alone; ``record`` is a row."""
     return _single_column(A, k, None, params)
 
 
@@ -339,7 +340,8 @@ def _single_column(A: SparseMatrix, k, a_one_norm: float | None, params: SaiPara
     k = _as_index(k, "column index")
     if not 0 <= k < A.ncols:
         raise ValueError("column index out of range")
-    return _grow_block([k], A, a_one_norm, params)[0]
+    columns, records = _grow_block([k], A, a_one_norm, params)
+    return columns[0], records[0]
 
 
 def _build_columns(A: SparseMatrix, block, args: tuple, params: SaiParams | None, threads: int):
@@ -347,8 +349,8 @@ def _build_columns(A: SparseMatrix, block, args: tuple, params: SaiParams | None
     builders: check A, take the operand (A, or its transpose for
     ``params.side == "left"``) and its 1-norm, run ``block(ks, operand,
     a_one_norm, *args)`` on consecutive blocks ``ks`` of ``_BLOCK_COLUMNS``
-    columns (a list of column hand-offs each), assemble M in solver-ready
-    orientation and time the whole build."""
+    columns (their columns and record table each), assemble M in solver-ready
+    orientation, join the tables and time the whole build."""
     if _as_index(threads, "threads") < 0:
         raise ValueError(f"threads must be 0 or more, got {threads}")
     if A.nrows != A.ncols:
@@ -361,11 +363,10 @@ def _build_columns(A: SparseMatrix, block, args: tuple, params: SaiParams | None
     a_norm = operand.one_norm()
     n = operand.ncols
     blocks = map_columns(block, (operand, a_norm, *args), n, threads, _BLOCK_COLUMNS)
-    results = [result for done in blocks for result in done]
-    M = assemble_columns([col for col, _ in results], n)
+    M = assemble_columns([col for columns, _ in blocks for col in columns], n)
     return Preconditioner(
         M=M.transpose() if left else M,
-        records=[rec for _, rec in results],
+        records=np.concatenate([table for _, table in blocks]).view(np.recarray),
         params=params,
         a_one_norm=a_norm,
         a_nnz=operand.nnz,

@@ -12,35 +12,34 @@ of the adaptive builder (``psai._drop_mask``).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseMatrix, _as_index, _gather_blocks, _kept_entries
+from .core import SparseMatrix, _as_index, _as_real, _gather_blocks, _kept_entries
 from .diagnostics import _column_norms, _residual_matrix
 from .lsq import ColumnLeastSquares
-from .psai import Preconditioner, _build_columns, _column_result, _drop_mask
+from .psai import Preconditioner, _build_columns, _column_result, _drop_mask, _record_table
 
 PATTERN_KINDS = ("iplusa", "abs", "normal")
 
-DEFAULT_NNZ_CAP = 50_000_000
+_NNZ_CAP = 50_000_000  # the most entries a pattern product may hold
 
 
 class PatternSizeError(RuntimeError):
-    """Predicted pattern density exceeds the configured cap."""
+    """A pattern product holds more entries than the cap allows."""
 
 
-def _capped_matmul(L, R, cap):
+def _capped_matmul(L, R):
     out = L @ R
-    if out.nnz > cap:
-        raise PatternSizeError(f"pattern nnz {out.nnz} exceeds cap {cap}")
+    if out.nnz > _NNZ_CAP:
+        raise PatternSizeError(f"pattern nnz {out.nnz} exceeds cap {_NNZ_CAP}")
     out.data[:] = 1.0  # structure only; keep path counts from growing
     return out
 
 
-def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP) -> SparseMatrix:
+def make_pattern(A: SparseMatrix, kind: str, k: int) -> SparseMatrix:
     """Structure of the named symbolic power product, as an all-ones matrix
     that stores no values: its values array is one read-only broadcast 1.0.
 
@@ -66,28 +65,27 @@ def make_pattern(A: SparseMatrix, kind: str, k: int, cap: int = DEFAULT_NNZ_CAP)
     elif kind == "abs":
         base, out, steps = (eye + S + S.T).tocsc(), S.T, k
     else:
-        base, out, steps = _capped_matmul(S.T, S, cap).tocsc(), S.T, k
+        base, out, steps = _capped_matmul(S.T, S).tocsc(), S.T, k
     base.data[:] = 1.0
     for _ in range(steps):
-        out = _capped_matmul(base, out, cap)
+        out = _capped_matmul(base, out)
     out.sum_duplicates()  # CSC, as every product above: sorts each column's rows
     return SparseMatrix._adopt(out.shape[0], out.shape[1], out.indptr, out.indices,
                                np.broadcast_to(1.0, out.nnz))
 
 
 def _static_column(k, A, support, gathered):
-    state = ColumnLeastSquares(A, k, support, (support, *gathered))
-    return _column_result(
-        state, k, loops_used=0, pre_drop_residual=state.residual_norm, met_accuracy=None
-    )
+    return _column_result(ColumnLeastSquares(A, k, support, (support, *gathered)))
 
 
 def _static_block(ks, A, a_one_norm, col_ptr, row_idx):
     """The columns ``ks`` on their fixed patterns (the rows of the pattern's
-    columns ``ks``), with every block A(R, S) gathered by one call."""
+    columns ``ks``), with every block A(R, S) gathered by one call; their
+    records hold no loops and the one residual before and after dropping."""
     supports = [row_idx[col_ptr[k] : col_ptr[k + 1]] for k in ks]
     blocks = _gather_blocks(A, supports, list(ks))
-    return [_static_column(k, A, S, block) for k, S, block in zip(ks, supports, blocks)]
+    columns, read = zip(*[_static_column(k, A, S, b) for k, S, b in zip(ks, supports, blocks)])
+    return columns, _record_table(ks, read, pre_drop_residual=[post for post, _, _ in read])
 
 
 def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Preconditioner:
@@ -105,8 +103,8 @@ def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Pr
 
 
 def _checked_floor(floor) -> float:
-    """The postfilter floor as a float; it must be finite and nonnegative."""
-    floor = float(floor)
+    """The postfilter floor as a float; it must be a finite, nonnegative real."""
+    floor = _as_real(floor, "floor")
     if not 0.0 <= floor < np.inf:
         raise ValueError(f"floor must be finite and nonnegative, got {floor!r}")
     return floor
@@ -125,24 +123,16 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
     start = time.perf_counter()
     M = P.M
     counts = M.column_nnz()
-    eps = np.maximum([rec.pre_drop_residual for rec in P.records], floor)
+    eps = np.maximum(P.records.pre_drop_residual, floor)
     with np.errstate(divide="ignore"):  # ||A||_1 = 0: every tolerance is inf
         tol = eps / (np.maximum(counts, 1) * P.a_one_norm)
     keep, guard = _drop_mask(M.values, counts, tol)
     M_d = _kept_entries(M.nrows, M.col_ptr, M.row_idx, M.values, keep)
-    residuals = _column_norms(_residual_matrix(A, M_d))
-    nnz_final = M_d.column_nnz().tolist()
-    records = [
-        dataclasses.replace(
-            rec,
-            post_drop_residual=float(residuals[k]),
-            nnz_final=nnz_final[k],
-            guard_flag=bool(guard[k]),
-            tol_min=float(tol[k]),
-            tol_max=float(tol[k]),
-        )
-        for k, rec in enumerate(P.records)
-    ]
+    records = P.records.copy()
+    records.post_drop_residual = _column_norms(_residual_matrix(A, M_d))
+    records.nnz_final = M_d.column_nnz()
+    records.guard_flag = guard
+    records.tol_min = records.tol_max = tol
     return Preconditioner(
         M=M_d,
         records=records,

@@ -5,6 +5,7 @@ fields, its iterate or its residual history, counts each side apart, and
 exits 1 when one differs or is missing, while the rtol mode skips solves."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from conftest import load_tool
 from saiprec.core import SparseMatrix
 from saiprec.diagnostics import QualityReport
 from saiprec.krylov import SolveParams, solve
+from saiprec.psai import SaiParams, build_preconditioner
+from saiprec.static import make_pattern, postfilter, static_build
 
 compare_builds = load_tool("compare_builds")
 
@@ -132,3 +135,32 @@ def test_rtol_mode_skips_the_solves(tmp_path, capsys):
     assert compare(tmp_path, first, second, rtol=1e-12) == 0
     assert "0 of 1 builds differ in some bit" in capsys.readouterr().out
     assert compare(tmp_path, first, second) == 1
+
+
+# upper bidiagonal: column 0 is exact on {0} and runs no drop step, the
+# others grow and drop
+BIDIAGONAL = SparseMatrix.from_dense(np.diag([2.0, 3.0, 4.0, 5.0, 6.0]) + np.eye(5, k=1))
+
+
+def as_record_objects(records) -> list:
+    """``records`` in the shape builds had before the record table: one object
+    per column, None for the tolerances of a column with no drop step, and a
+    ``met_accuracy`` flag that is not compared."""
+    return [types.SimpleNamespace(
+        **{f: None if f.startswith("tol_") and np.isnan(r[f]) else r[f].item()
+           for f in records.dtype.names}, met_accuracy=True) for r in records]
+
+
+@pytest.mark.parametrize("build", [
+    lambda A: build_preconditioner(A, SaiParams(epsilon=0.05, l_max=4)),
+    lambda A: postfilter(A, static_build(A, make_pattern(A, "iplusa", 2)), floor=0.1),
+], ids=["adaptive", "postfiltered"])
+def test_a_record_table_and_record_objects_store_the_same_bytes(build):
+    # ``run --src`` of an older tree reads record objects, and of this one a
+    # table; ``compare`` needs both to store the same bytes
+    records = build(BIDIAGONAL).records
+    rows = compare_builds._record_array(records)
+    assert rows.shape == (5, len(compare_builds.RECORD_FIELDS))
+    assert rows.tobytes() == compare_builds._record_array(as_record_objects(records)).tobytes()
+    tol = rows[:, compare_builds.RECORD_FIELDS.index("tol_min")]
+    assert not np.isnan(tol).all()

@@ -423,6 +423,17 @@ class TestQualityReport:
                 rec.post_drop_residual, abs=1e-10
             )
 
+    @pytest.mark.parametrize("epsilon", [2.0, 1.0, 0.0, -1.0, np.nan])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        # epsilon 2.0 counted no column as missing it (coln 0), and -1.0
+        # made every guarantee check "not applicable"
+        A = SparseMatrix.identity(4)
+        P = build_preconditioner(A, SaiParams(epsilon=0.3, l_max=3))
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            quality_report(A, P, epsilon)
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            verify_drop_guarantees(A, P.M, P.M, epsilon)
+
     def test_reference_distinguishes_p(self):
         rng = np.random.default_rng(9)
         A = random_well_conditioned(rng, 12, density=0.4)

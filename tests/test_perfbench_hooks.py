@@ -5,15 +5,17 @@ are checked here: perfbench's own self-test passes, every traced boundary
 still resolves, and the builds enter every build-side boundary that a
 per-layer metric of ``BENCHMARK.json`` reads."""
 
+import dataclasses
 import importlib.util
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import REPO_ROOT, random_sparse
-from saiprec import psai, static
+from saiprec import diagnostics, psai, static
 
 PERFBENCH = REPO_ROOT / "perfbench"
 
@@ -59,3 +61,43 @@ def test_builds_enter_every_metered_boundary():
                                    in tracer.counts.items() if count}
     assert not tracer.absent
     assert [name for name in BUILD_BOUNDARIES if name not in entered] == []
+
+
+def load_workloads():
+    """perfbench's workloads module, registered as ``perfbench_workloads``
+    (its dataclasses look their module up while it loads); it imports
+    perfbench's generators by their bare name."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "path", [str(PERFBENCH), *sys.path]):
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["adaptive-reservoir", "static-cd3d"])
+def test_check_build_reads_the_records(name):
+    """perfbench's ``workloads.check_build`` reads the records row by row, by
+    attribute; on a small adaptive build with dropping, and a static build
+    with its postfilter, it finds no violation, and it sees a residual that
+    a record misstates."""
+    workloads = load_workloads()
+    w = workloads.WORKLOADS[name]
+    A = random_sparse(np.random.default_rng(7), 40, 0.08, diag_boost=3.0)
+    if w.build == "adaptive":
+        P = psai.build_preconditioner(A, workloads.ADAPTIVE, threads=1)
+        built = {"M": P}
+        assert not np.isnan(P.records.tol_min).all()  # some column dropped
+    else:
+        P = static.static_build(A, static.make_pattern(A, "iplusa", 2), threads=1)
+        built = {"M": P, "Md": static.postfilter(A, P, floor=workloads.FLOOR)}
+        assert built["Md"].M.nnz < P.M.nnz
+    it = workloads.Iteration(A=A, built=built,
+                             nonsingular=diagnostics.check_nonsingular(P.M), solves=[],
+                             load_s=0.0, build_s=0.0, solve_s=0.0, total_s=0.0)
+    assert workloads.check_build(w, it) == []
+    misstated = P.records.copy()
+    misstated.post_drop_residual[3] += 0.5
+    it.built["M"] = dataclasses.replace(P, records=misstated)
+    (violation,) = workloads.check_build(w, it)
+    assert "1 column residuals differ from the record (column 3" in violation

@@ -51,6 +51,15 @@ class TestAdaptiveDropTolerance:
         with pytest.raises(ValueError, match="a_one_norm must be positive and finite"):
             adaptive_drop_tolerance(0.2, 1, np.inf)
 
+    @pytest.mark.parametrize("epsilon, nnz_mk, a_one_norm", [
+        (True, 1, 1.0), ("0.2", 1, 1.0), (0.2, 1.5, 1.0), (0.2, True, 1.0),
+        (0.2, np.array([1.0, 2.0]), 1.0), (0.2, 1, True), (0.2, 1, "1.0"),
+    ])
+    def test_rejects_booleans_strings_and_fractional_counts(self, epsilon, nnz_mk, a_one_norm):
+        # True was taken as 1 and a count of 1.5 as a count
+        with pytest.raises(TypeError, match="must be a real number|must be an integer count"):
+            adaptive_drop_tolerance(epsilon, nnz_mk, a_one_norm)
+
     def test_array_of_counts(self):
         counts = np.array([1, 3, 7])
         tols = adaptive_drop_tolerance(0.2, counts, 1.7)
@@ -68,6 +77,18 @@ class TestSaiParams:
     ])
     def test_non_finite_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
+            SaiParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"epsilon": True}, "epsilon"),
+        ({"drop_mode": "fixed", "tol": True}, "tol"),
+        ({"drop_mode": "fixed", "tol": np.True_}, "tol"),
+        ({"drop_scale": True}, "drop_scale"),
+        ({"drop_scale": np.True_}, "drop_scale"),
+    ])
+    def test_real_fields_reject_booleans(self, kwargs, name):
+        # tol=True and drop_scale=True were taken as 1
+        with pytest.raises(TypeError, match=f"{name} must be a real number"):
             SaiParams(**kwargs)
 
     @pytest.mark.parametrize("l_max", [2.5, 3.0, True, False, "3", None])
@@ -103,7 +124,7 @@ class TestBpsaiColumn:
         params = SaiParams(epsilon=0.3, l_max=5, drop_mode="none")
         vec, rec = bpsai_column(A, 2, params)
         assert dense_column(vec, 3) == pytest.approx([0.0, 0.0, 0.125])
-        assert rec.met_accuracy
+        assert rec.pre_drop_residual <= params.epsilon
 
     def test_dense_inverse_oracle(self):
         rng = np.random.default_rng(17)
@@ -114,7 +135,7 @@ class TestBpsaiColumn:
             inv = np.linalg.inv(A.to_dense())
             for k in range(n):
                 vec, rec = bpsai_column(A, k, params)
-                if np.count_nonzero(vec[1]) == n or rec.met_accuracy:
+                if np.count_nonzero(vec[1]) == n or rec.pre_drop_residual <= params.epsilon:
                     assert np.allclose(dense_column(vec, n), inv[:, k], atol=1e-8, rtol=0)
 
     def test_pattern_containment(self):
@@ -135,7 +156,8 @@ class TestBpsaiColumn:
             for k in range(12):
                 _, rec = bpsai_column(A, k, params)
                 assert rec.loops_used <= params.l_max
-                assert rec.met_accuracy or rec.loops_used == params.l_max or rec.stalled
+                assert (rec.pre_drop_residual <= params.epsilon
+                        or rec.loops_used == params.l_max or rec.stalled)
 
 
 class TestPsaiTolColumn:
@@ -169,7 +191,7 @@ class TestPsaiTolColumn:
     def test_zero_one_norm_of_a_matrix_without_entries(self):
         A = SparseMatrix.from_dense(np.zeros((3, 3)))
         (support, values), rec = psai_tol_column(A, 1, SaiParams(epsilon=0.3, l_max=5), 0.0)
-        assert rec.stalled and rec.tol_min is None
+        assert rec.stalled and np.isnan(rec.tol_min) and np.isnan(rec.tol_max)
         assert not values.any()
 
     def test_identity_matches_bpsai(self):
@@ -224,7 +246,7 @@ class TestPsaiTolColumn:
                     A, k, SaiParams(epsilon=eps, l_max=10, drop_mode="none")
                 )
                 assert rec_d.nnz_final <= rec_b.nnz_final
-                if rec_d.met_accuracy:
+                if rec_d.pre_drop_residual <= eps:
                     assert rec_d.post_drop_residual <= 2.0 * eps + 1e-12
                 # verified on these seeds: dropping stays within twice the
                 # no-drop run's controlling residual
@@ -257,10 +279,15 @@ class TestPsaiTolColumn:
         rng = np.random.default_rng(47)
         A = random_well_conditioned(rng, 8, density=0.5)
         params = SaiParams(epsilon=0.2, l_max=8, drop_mode="fixed", tol=1e-3)
+        dropped = 0
         for k in range(8):
             _, rec = psai_tol_column(A, k, params, A.one_norm())
-            if rec.loops_used and rec.tol_min is not None:
-                assert rec.tol_min <= rec.tol_max
+            # NaN tolerances mark a column that ran no drop step
+            assert np.isnan(rec.tol_min) == np.isnan(rec.tol_max)
+            if not np.isnan(rec.tol_min):
+                assert rec.loops_used and 0.0 < rec.tol_min <= rec.tol_max
+                dropped += 1
+        assert dropped
 
 
 class TestNnzFinalMatchesM:
@@ -385,7 +412,7 @@ class TestZeroColumn:
         assert P.M.column(3)[0].size == 0
         assert P.records[3].rank_flag
         assert P.records[3].stalled
-        assert not P.records[3].met_accuracy
+        assert not P.records[3].pre_drop_residual <= params.epsilon
 
     def test_static_build(self):
         A = self.matrix_with_zero_column(3)

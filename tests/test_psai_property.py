@@ -195,8 +195,7 @@ def dense_drop_reference(dense: np.ndarray, k: int, params: SaiParams):
         raise NearCut("pivot against the rank cut")
     rank_flag = pivots.size < support.size or bool(np.any(pivots <= cuts[:pivots.size]))
     record = dict(loops_used=l, stalled=stalled, guard_flag=guard, rank_flag=rank_flag,
-                  met_accuracy=r_solve <= eps,
-                  tol_min=min(tols) if tols else None, tol_max=max(tols) if tols else None)
+                  tol_min=min(tols) if tols else np.nan, tol_max=max(tols) if tols else np.nan)
     return support, values, record, r_solve, post, dropped
 
 
@@ -229,7 +228,8 @@ def test_drop_path_matches_dense_reference():
         A = SparseMatrix.from_dense(dense)
         a_one_norm = A.one_norm()
         (support, values), rec = psai_tol_column(A, k, params, a_one_norm)
-        assert {f: getattr(rec, f) for f in ref_record} == ref_record
+        np.testing.assert_equal({f: getattr(rec, f) for f in ref_record}, ref_record)
+        assert (rec.pre_drop_residual <= params.epsilon) == (ref_pre <= params.epsilon)
         assert np.array_equal(support, ref_support)
         scale = max(np.linalg.norm(ref_values), 1.0 / a_one_norm if a_one_norm else 1.0)
         assert np.linalg.norm(values - ref_values) <= VALUE_RTOL * scale

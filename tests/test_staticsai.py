@@ -5,12 +5,24 @@ import pytest
 
 from conftest import random_sparse, random_well_conditioned
 from saiprec.core import SparseMatrix
+from saiprec.psai import RECORD_DTYPE, Preconditioner
 from saiprec.static import (
     PatternSizeError,
     make_pattern,
     postfilter,
     static_build,
 )
+
+
+def static_records(M: SparseMatrix, residual: float) -> np.recarray:
+    """The records a static build of M would hold with the one ``residual``
+    in every column: no loops, no drop step (NaN tolerances)."""
+    records = np.zeros(M.ncols, dtype=RECORD_DTYPE).view(np.recarray)
+    records.k = np.arange(M.ncols)
+    records.pre_drop_residual = records.post_drop_residual = residual
+    records.nnz_final = M.column_nnz()
+    records.tol_min = records.tol_max = np.nan
+    return records
 
 
 def dense_pattern_oracle(A: SparseMatrix, kind: str, k: int) -> np.ndarray:
@@ -57,11 +69,14 @@ class TestMakePattern:
             P = make_pattern(A, kind, power)
             assert np.array_equal(pattern_to_dense(P), dense_pattern_oracle(A, kind, power))
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        import saiprec.static
+
         rng = np.random.default_rng(3)
         A = random_sparse(rng, 20, 0.4, diag_boost=1.0)
-        with pytest.raises(PatternSizeError):
-            make_pattern(A, "iplusa", 3, cap=10)
+        monkeypatch.setattr(saiprec.static, "_NNZ_CAP", 10)
+        with pytest.raises(PatternSizeError, match="exceeds cap 10"):
+            make_pattern(A, "iplusa", 3)
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -201,6 +216,14 @@ class TestPostfilter:
         aggressive = postfilter(A, P, floor=0.5)
         assert aggressive.M.nnz <= mild.M.nnz
 
+    @pytest.mark.parametrize("floor", [True, False, np.True_, "0.1"])
+    def test_boolean_or_string_floor_rejected(self, floor):
+        # floor=True was taken as 1.0 and "0.1" as 0.1
+        A = SparseMatrix.from_dense([[2.0, 1.0], [1.0, 3.0]])
+        P = static_build(A, make_pattern(A, "iplusa", 1))
+        with pytest.raises(TypeError, match="floor must be a real number"):
+            postfilter(A, P, floor=floor)
+
     @pytest.mark.parametrize("floor", [np.nan, np.inf, -0.1])
     def test_non_finite_or_negative_floor_rejected(self, floor):
         A = SparseMatrix.from_dense([[2.0, 1.0], [1.0, 3.0]])
@@ -214,14 +237,8 @@ class TestPostfilter:
         dense[0, 1] = 0.05
         A = SparseMatrix.identity(3)
         M = SparseMatrix.from_dense(dense)
-        from saiprec.psai import ColumnBuildRecord, Preconditioner
-
-        records = [
-            ColumnBuildRecord(k, 0, 0.1, 0.1, int(n), None)
-            for k, n in enumerate(np.diff(M.col_ptr))
-        ]
         P = Preconditioner(
-            M=M, records=records, params=None, a_one_norm=1.0, a_nnz=3
+            M=M, records=static_records(M, 0.1), params=None, a_one_norm=1.0, a_nnz=3
         )
         # column 1: eps_k -> floor 0.1, nnz 2, ||A||_1 = 1 -> tol = 0.05 exactly
         F = postfilter(A, P, floor=0.1)
@@ -251,14 +268,8 @@ class TestPostfilterGuard:
         dense_m[:2, 0] = [0.01, -0.012]  # tol 0.1 / (2 * 4) = 0.0125: all dropped
         dense_m[2, 2] = 0.25  # column 1 stays empty
         M = SparseMatrix.from_dense(dense_m)
-        from saiprec.psai import ColumnBuildRecord, Preconditioner
-
-        records = [
-            ColumnBuildRecord(k, 0, 0.05, 0.05, int(n), None)
-            for k, n in enumerate(M.column_nnz())
-        ]
         P = Preconditioner(
-            M=M, records=records, params=None, a_one_norm=4.0, a_nnz=A.nnz
+            M=M, records=static_records(M, 0.05), params=None, a_one_norm=4.0, a_nnz=A.nnz
         )
         F = postfilter(A, P, floor=0.1)
         expected = np.zeros((3, 3))

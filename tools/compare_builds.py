@@ -3,8 +3,8 @@
 
 ``run`` builds a fixed set of configurations with the saiprec found under
 ``--src`` and writes, for each one, the arrays of M (and of the postfiltered
-M_d for the static builds), ``a_one_norm`` and every ``ColumnBuildRecord``
-field to one ``.npz`` file; for the small matrices it also writes the
+M_d for the static builds), ``a_one_norm`` and the ``RECORD_FIELDS`` of
+every build record to one ``.npz`` file; for the small matrices it also writes the
 ``quality_report`` of every build and the ``verify_drop_guarantees`` checks
 of the diagnostics cases, for the one-worker builds of the benchmark
 operators the ``check_nonsingular`` verdict and rcond of M, and for their
@@ -91,7 +91,7 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORD_FIELDS = ("k", "loops_used", "pre_drop_residual", "post_drop_residual", "nnz_final",
-                 "met_accuracy", "rank_flag", "guard_flag", "stalled", "tol_min", "tol_max")
+                 "rank_flag", "guard_flag", "stalled", "tol_min", "tol_max")
 RESIDUALS = ("pre_drop_residual", "post_drop_residual")
 # QualityReport's fields in the order of a stored quality row; the last one
 # fills the rest of the row, one entry per column
@@ -333,9 +333,11 @@ def _configs():
 
 
 def _record_array(records) -> np.ndarray:
-    """Records as one float64 row each; None becomes NaN (compared bitwise)."""
-    return np.array([[np.nan if getattr(r, f) is None else float(getattr(r, f))
-                      for f in RECORD_FIELDS] for r in records])
+    """Records as one float64 row each, every field read by its name, so that
+    a record table (a tolerance of NaN for a column with no drop step) and a
+    list of record objects (None there) give the same bytes."""
+    return np.column_stack([np.array([getattr(r, f) for r in records], dtype=np.float64)
+                            for f in RECORD_FIELDS])
 
 
 def cmd_run(src: Path, out: Path) -> int:

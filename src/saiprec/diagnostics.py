@@ -53,6 +53,12 @@ class GuaranteeCheck:
     details: dict = field(default_factory=dict)
 
 
+def _check_shape(A: SparseMatrix, M: SparseMatrix, name: str = "M"):
+    """Raise ``ValueError`` naming both shapes unless ``M`` has A's shape."""
+    if M.shape != A.shape:
+        raise ValueError(f"{name} is {M.nrows}x{M.ncols} but A is {A.nrows}x{A.ncols}")
+
+
 def _residual_matrix(A: SparseMatrix, M: SparseMatrix):
     """A M - I in CSC with sorted row indices, the order that column sums add in."""
     R = (A.to_scipy() @ M.to_scipy()).tocsc() - sp.identity(A.nrows, format="csc")
@@ -228,6 +234,9 @@ def quality_report(A: SparseMatrix, P: Preconditioner, epsilon: float,
     or filtered one, so that both residual-nnz bounds p and p_d are reported.
     """
     _checked_epsilon(epsilon)
+    _check_shape(A, P.M)
+    if reference is not None:
+        _check_shape(A, reference.M, "the reference M")
     operand = A.transpose() if P.side == "left" else A
     M = P.M.transpose() if P.side == "left" else P.M
     res_norm, _, per_column, p_d = _column_pass(_residual_matrix(operand, M))
@@ -268,6 +277,8 @@ def verify_drop_guarantees(A: SparseMatrix, M: SparseMatrix, M_d: SparseMatrix,
     one column pass, and M_d is checked by ``check_nonsingular`` at most once.
     """
     _checked_epsilon(epsilon)
+    _check_shape(A, M)
+    _check_shape(A, M_d, "M_d")
     a_norm = A.one_norm()
     f_norm, f_cols_1, _, _ = _column_pass((M.to_scipy() - M_d.to_scipy()).tocsc())
     res_norm, col_res_1, col_res_2, p = _column_pass(_residual_matrix(A, M))

@@ -11,10 +11,10 @@ sort and gathers all their blocks A(R, S) with one ``core._gather_blocks``
 call. Each growing column then solves its own least-squares problem (a
 LAPACK QR of its block, applied to e_k without forming Q; see ``lsq``). A
 column stops early (stalled) once A maps its reached index set into itself,
-as no index can be new again. Per column the block keeps the loop count,
-the stalled and guard flags, the least and largest drop tolerance, the
-pre-drop residual and the least-squares state, which it releases when the
-column stops growing.
+as no index can be new again. The block writes each column's loop count,
+flags, least and largest drop tolerance and residuals straight into the
+fields of its record table, and holds the least-squares state of each
+column until the column stops growing.
 
 Whether a build drops is one rule, ``SaiParams.drops``: a fixed tolerance,
 or the adaptive criterion eps / (nnz(m_k) * ||A||_1) with a nonzero
@@ -24,9 +24,10 @@ are sliced, not factored); the adaptive criterion keeps the dropped mass
 small enough that a column meeting the accuracy target eps still satisfies
 ||A m_d - e_k||_2 <= 2 eps after dropping. The per-column
 entry points ``bpsai_column`` and ``psai_tol_column`` run the same kernel on
-a block of one column. Everything around the columns (the checks on A, the
-fan-out of the blocks, the assembly of M and the report) is written once,
-in ``_build_columns``, and the static builder uses it.
+a block of one column, and the static builder runs it started from the
+columns of a prescribed pattern, with no growth and no drop. Everything
+around the columns (the checks on A, the fan-out of the blocks, the
+assembly of M and the report) is written once, in ``_build_columns``.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ class SaiParams:
     l_max: maximum number of outer pattern-growth loops.
     drop_mode: "none" (no dropping), "adaptive" (the eps/(nnz*||A||_1)
         criterion) or "fixed" (absolute tolerance ``tol``).
+    tol: the fixed mode's tolerance; None in the other modes.
     drop_scale: multiplier on the adaptive criterion (sweep studies); 0 means
         no dropping at all.
     side: "right" builds M with A M ~ I; "left" builds M with M A ~ I by
@@ -85,6 +87,8 @@ class SaiParams:
         if self.drop_mode == "fixed":
             if self.tol is None or not 0.0 < _as_real(self.tol, "tol") < np.inf:
                 raise ValueError("fixed drop mode needs tol > 0 and finite")
+        elif self.tol is not None:
+            raise ValueError(f"tol is used by the fixed drop mode only, not {self.drop_mode!r}")
         if not 0.0 <= _as_real(self.drop_scale, "drop_scale") < np.inf:
             raise ValueError("drop_scale must be nonnegative and finite")
         if self.side not in SIDES:
@@ -160,9 +164,9 @@ def _checked_epsilon(epsilon) -> float:
 
 
 def adaptive_drop_tolerance(epsilon: float, nnz_mk, a_one_norm: float):
-    """Adaptive dropping tolerance eps / (nnz(m_k) * ||A||_1), one per count."""
-    if not _as_real(epsilon, "epsilon") > 0.0:
-        raise ValueError("epsilon must be positive")
+    """Adaptive dropping tolerance eps / (nnz(m_k) * ||A||_1), one per count;
+    a float for one count given as a scalar."""
+    epsilon = _checked_epsilon(epsilon)
     counts = np.asarray(nnz_mk)
     if counts.dtype.kind not in "iu":
         raise TypeError(f"nnz_mk must be an integer count, got {nnz_mk!r}")
@@ -170,7 +174,8 @@ def adaptive_drop_tolerance(epsilon: float, nnz_mk, a_one_norm: float):
         raise ValueError("nnz_mk must be at least 1")
     if not 0.0 < _as_real(a_one_norm, "a_one_norm") < np.inf:
         raise ValueError("a_one_norm must be positive and finite")
-    return epsilon / (nnz_mk * a_one_norm)
+    tols = epsilon / (counts * a_one_norm)
+    return tols if counts.ndim else float(tols)
 
 
 def _drop_mask(values: np.ndarray, counts: np.ndarray, threshold):
@@ -208,44 +213,53 @@ def _power_steps(A: SparseMatrix, V):
     return W
 
 
-def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams) -> list:
+def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams | None,
+                col_ptr=None, row_idx=None) -> tuple:
     """The growth loop of the columns ``ks``, level-synchronous: every column
     still growing (pre-drop residual above epsilon, fewer than l_max loops
-    used, not stalled) advances one loop together. A level takes the power
-    steps from one sparse product, the new indices from one 2-D reached
-    mask (column by index), the grown patterns from one keyed sort and all
-    their blocks A(R, S) from one ``_gather_blocks`` call, as the first
-    solves on the patterns {k} take theirs. Each grown column then solves on
-    its own least-squares state, and if ``params.drops`` one ``_drop_mask``
-    pass drops from all of them, each keeping at least its largest entry
-    (the guard); with ``a_one_norm`` None (the plain builder) no column
-    drops. Returns the columns ``(indices, values)`` and their record table."""
+    used, not stalled) advances one loop together. Column k starts from {k},
+    or from the rows of column k of the pattern with CSC arrays ``col_ptr``
+    and ``row_idx``; the first solves take all their blocks A(R, S) from one
+    ``_gather_blocks`` call. With ``params`` None (the static builder) each
+    column solves once on its start and neither grows nor drops. A level
+    takes the power steps from one sparse product, the new indices from one
+    2-D reached mask (column by index), the grown patterns from one keyed
+    sort and all their blocks from one ``_gather_blocks`` call. Each grown
+    column then solves on its own least-squares state, and if
+    ``params.drops`` one ``_drop_mask`` pass drops from all of them, each
+    keeping at least its largest entry (the guard); with ``a_one_norm`` None
+    (the plain builder) no column drops. Returns the columns ``(indices,
+    values)`` and their record table, whose fields the loop works on."""
     ks = np.asarray(ks, dtype=np.int64)
-    n, eps = A.ncols, params.epsilon
-    drops = a_one_norm is not None and params.drops
+    n = A.ncols
+    eps, l_max = (params.epsilon, params.l_max) if params is not None else (0.0, 0)
+    drops = params is not None and a_one_norm is not None and params.drops
+    records = np.zeros(ks.size, dtype=RECORD_DTYPE).view(np.recarray)
+    records.k = ks
+    records.tol_min = records.tol_max = np.nan  # NaN until the column's first drop step
+    residual, post, nnz, rank = (records.pre_drop_residual, records.post_drop_residual,
+                                 records.nnz_final, records.rank_flag)
+    loops, stalled, guard = records.loops_used, records.stalled, records.guard_flag
+    tol_min, tol_max = records.tol_min, records.tol_max
     reached = np.zeros((ks.size, n), dtype=bool)
     reached[np.arange(ks.size), ks] = True
-    firsts = [ks[slot:slot + 1] for slot in range(ks.size)]
+    firsts = ([ks[slot:slot + 1] for slot in range(ks.size)] if col_ptr is None
+              else [row_idx[col_ptr[k]:col_ptr[k + 1]] for k in ks.tolist()])
     states = [ColumnLeastSquares(A, k, first, (first, *block)) for k, first, block
               in zip(ks.tolist(), firsts, _gather_blocks(A, firsts, ks))]
-    residual = np.array([state.residual_norm for state in states])  # pre-drop
-    loops = np.zeros(ks.size, dtype=np.int64)
-    stalled = np.zeros(ks.size, dtype=bool)
-    guard = np.zeros(ks.size, dtype=bool)
-    tol_min = np.full(ks.size, np.nan)  # NaN until the column's first drop step
-    tol_max = np.full(ks.size, np.nan)
-    columns, read = [None] * ks.size, [None] * ks.size  # filled as the columns stop
+    residual[:] = [state.residual_norm for state in states]
+    columns = [None] * ks.size  # filled as the columns stop
     active = np.arange(ks.size)  # the slots of the columns that took the last step
     V = sp.csc_matrix((np.ones(ks.size), ks, np.arange(ks.size + 1)), shape=(n, ks.size))
     while True:
-        grows = ~stalled[active] & (residual[active] > eps) & (loops[active] < params.l_max)
+        grows = ~stalled[active] & (residual[active] > eps) & (loops[active] < l_max)
         for slot in active[~grows].tolist():
-            columns[slot], read[slot] = _column_result(states[slot])
-            states[slot] = None
+            state, states[slot] = states[slot], None
+            columns[slot] = state.support, state.solution
+            post[slot], nnz[slot] = state.residual_norm, np.count_nonzero(columns[slot][1])
+            rank[slot] = state.rank_flag
         if not grows.any():
-            return columns, _record_table(
-                ks, read, loops_used=loops, pre_drop_residual=residual, guard_flag=guard,
-                stalled=stalled, tol_min=tol_min, tol_max=tol_max)
+            return columns, records
         if not grows.all():
             keep = np.flatnonzero(grows)
             active, V = active[keep], V[:, keep]
@@ -289,28 +303,6 @@ def _grow_block(ks, A: SparseMatrix, a_one_norm: float | None, params: SaiParams
         for i in np.flatnonzero(np.logical_or.reduceat(~kept, at)).tolist():
             state = level[i]
             state.shrink(state.support[~kept[at[i]:at[i] + counts[i]]])
-
-
-def _column_result(state: ColumnLeastSquares):
-    """The hand-off of every built column, read off its least-squares
-    ``state``: ``(indices, values)`` and the record fields the state holds,
-    ``(post_drop_residual, nnz_final, rank_flag)``."""
-    solution = state.solution
-    return (state.support, solution), (state.residual_norm, np.count_nonzero(solution),
-                                       state.rank_flag)
-
-
-def _record_table(ks, read, **fields) -> np.recarray:
-    """The records of the columns ``ks``: the fields ``read`` off each state by
-    :func:`_column_result`, then ``fields``, one array each; a field not given
-    is 0 or False, or NaN for a tolerance."""
-    table = np.zeros(len(ks), dtype=RECORD_DTYPE).view(np.recarray)
-    table.tol_min = table.tol_max = np.nan
-    table.k = ks
-    table.post_drop_residual, table.nnz_final, table.rank_flag = zip(*read)
-    for name, values in fields.items():
-        table[name] = values
-    return table
 
 
 def bpsai_column(A: SparseMatrix, k: int, params: SaiParams):

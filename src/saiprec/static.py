@@ -1,9 +1,10 @@
 """Static sparse-approximate-inverse construction on prescribed patterns.
 
 The envelope patterns are the structures of (I+A)^k, (I+|A|+|A^T|)^k A^T and
-(A^T A)^k A^T. Each column solves its least-squares problem once on the fixed
-pattern, through ``psai._build_columns``, which runs the columns a block at a
-time; the blocks A(R, S) of a block's columns come from one
+(A^T A)^k A^T. A static build is the adaptive builders' kernel,
+``psai._grow_block``, started from the pattern's columns with no growth and
+no drop: each column solves its least-squares problem once on its fixed
+pattern, and the blocks A(R, S) of a block of columns come from one
 ``core._gather_blocks`` call. Postfiltration afterwards drops entries at or
 below max(eps_k, floor) / (nnz(m_k) * ||A||_1) per column of a right-side M,
 where eps_k is that column's achieved residual norm, by the rule and guard
@@ -17,10 +18,9 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseMatrix, _as_index, _as_real, _gather_blocks, _kept_entries
-from .diagnostics import _column_norms, _residual_matrix
-from .lsq import ColumnLeastSquares
-from .psai import Preconditioner, _build_columns, _column_result, _drop_mask, _record_table
+from .core import SparseMatrix, _as_index, _as_real, _kept_entries
+from .diagnostics import _check_shape, _column_norms, _residual_matrix
+from .psai import Preconditioner, _build_columns, _drop_mask, _grow_block
 
 PATTERN_KINDS = ("iplusa", "abs", "normal")
 
@@ -74,20 +74,6 @@ def make_pattern(A: SparseMatrix, kind: str, k: int) -> SparseMatrix:
                                np.broadcast_to(1.0, out.nnz))
 
 
-def _static_column(k, A, support, gathered):
-    return _column_result(ColumnLeastSquares(A, k, support, (support, *gathered)))
-
-
-def _static_block(ks, A, a_one_norm, col_ptr, row_idx):
-    """The columns ``ks`` on their fixed patterns (the rows of the pattern's
-    columns ``ks``), with every block A(R, S) gathered by one call; their
-    records hold no loops and the one residual before and after dropping."""
-    supports = [row_idx[col_ptr[k] : col_ptr[k + 1]] for k in ks]
-    blocks = _gather_blocks(A, supports, list(ks))
-    columns, read = zip(*[_static_column(k, A, S, b) for k, S, b in zip(ks, supports, blocks)])
-    return columns, _record_table(ks, read, pre_drop_residual=[post for post, _, _ in read])
-
-
 def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Preconditioner:
     """Solve min ||A(:, S^k) m - e_k||_2 once per column on the fixed pattern.
 
@@ -99,7 +85,7 @@ def static_build(A: SparseMatrix, pattern: SparseMatrix, threads: int = 1) -> Pr
     empty = np.flatnonzero(pattern.column_nnz() == 0)
     if empty.size:
         raise ValueError(f"pattern column {empty[0]} is empty; every column must be non-empty")
-    return _build_columns(A, _static_block, (pattern.col_ptr, pattern.row_idx), None, threads)
+    return _build_columns(A, _grow_block, (None, pattern.col_ptr, pattern.row_idx), None, threads)
 
 
 def _checked_floor(floor) -> float:
@@ -120,6 +106,7 @@ def postfilter(A: SparseMatrix, P: Preconditioner, floor: float = 0.1) -> Precon
     if P.side != "right":
         raise ValueError("postfilter needs a right-side preconditioner (A M ~ I)")
     floor = _checked_floor(floor)
+    _check_shape(A, P.M)
     start = time.perf_counter()
     M = P.M
     counts = M.column_nnz()

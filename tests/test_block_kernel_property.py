@@ -1,6 +1,7 @@
 """Property tests of the block kernel: the batched power step against the
-dense product, column by column, and a whole build against its columns built
-one at a time with the per-column entry points."""
+dense product, column by column, a whole build against its columns built
+one at a time with the per-column entry points, and a static build (the
+kernel started from a pattern) against one least-squares solve per column."""
 
 from unittest import mock
 
@@ -12,7 +13,9 @@ from test_psai_property import SETTINGS, matrices
 
 from saiprec import psai
 from saiprec.core import SparseMatrix, assemble_columns
+from saiprec.lsq import ColumnLeastSquares
 from saiprec.psai import SaiParams, _power_steps, bpsai_column, build_preconditioner, psai_tol_column
+from saiprec.static import static_build
 
 # small integers cancel exactly; the extreme magnitudes make entries
 # underflow once divided by the peak
@@ -97,3 +100,39 @@ def test_build_matches_columns_built_one_at_a_time():
     check()
     assert all((case, True) in seen for case in
                ("stalled", "rank-deficient", "guard", "zero column", "several blocks"))
+
+
+def test_static_build_matches_one_solve_per_pattern_column():
+    seen = set()
+
+    @SETTINGS
+    @given(dense=matrices(), data=st.data(),
+           block=st.sampled_from([1, 3, psai._BLOCK_COLUMNS]))
+    def check(dense, data, block):
+        n = dense.shape[0]
+        A = SparseMatrix.from_dense(dense)
+        rows = [sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+                for _ in range(n)]
+        pattern = SparseMatrix.from_dense(
+            np.array([[float(i in r) for r in rows] for i in range(n)]))
+        with mock.patch.object(psai, "_BLOCK_COLUMNS", block):
+            P = static_build(A, pattern)
+        for k, rec in enumerate(P.records):
+            ref = ColumnLeastSquares(A, k, rows[k])
+            nonzero = ref.solution != 0.0  # assembly purges exact zeros
+            idx, vals = P.M.column(k)
+            assert np.array_equal(idx, ref.support[nonzero])
+            assert vals.tobytes() == ref.solution[nonzero].tobytes()
+            assert rec.k == k and rec.loops_used == 0
+            assert rec.pre_drop_residual.tobytes() == rec.post_drop_residual.tobytes() \
+                == np.float64(ref.residual_norm).tobytes()
+            assert rec.nnz_final == np.count_nonzero(ref.solution)
+            assert rec.rank_flag == ref.rank_flag
+            assert not rec.guard_flag and not rec.stalled
+            assert np.isnan(rec.tol_min) and np.isnan(rec.tol_max)
+            seen.add(("zero value", not nonzero.all()))
+        seen.update({"rank-deficient": any(r.rank_flag for r in P.records),
+                     "several blocks": block < n}.items())
+
+    check()
+    assert all((case, True) in seen for case in ("rank-deficient", "zero value", "several blocks"))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from test_block_kernel_property import build_params
 from test_psai_property import SETTINGS, matrices
 
-from saiprec import core, lsq, psai, static
+from saiprec import core, lsq, psai
 from saiprec.core import SparseMatrix, _gather_blocks, gather_submatrix
 from saiprec.psai import _BLOCK_COLUMNS, build_preconditioner
 from saiprec.static import static_build
@@ -120,7 +120,6 @@ def column_reads(build, block):
             mock.patch.object(psai, "_power_steps", counted_power_steps), \
             mock.patch.object(psai, "_BLOCK_COLUMNS", block), \
             mock.patch.object(psai, "_gather_blocks", counted_gather), \
-            mock.patch.object(static, "_gather_blocks", counted_gather), \
             mock.patch.object(lsq, "_gather_blocks", counted_gather):
         build()
     return per_gather, calls[0] - sum(per_gather), sum(levels), stall_tests[0]

@@ -434,6 +434,16 @@ class TestQualityReport:
         with pytest.raises(ValueError, match="epsilon must lie in"):
             verify_drop_guarantees(A, P.M, P.M, epsilon)
 
+    def test_mismatched_shapes_rejected(self):
+        # a 5x5 A against a 4x4 M failed inside scipy's matmul
+        P4 = build_preconditioner(SparseMatrix.identity(4), SaiParams(epsilon=0.3, l_max=3))
+        A5 = SparseMatrix.identity(5)
+        P5 = build_preconditioner(A5, SaiParams(epsilon=0.3, l_max=3))
+        with pytest.raises(ValueError, match="M is 4x4 but A is 5x5"):
+            quality_report(A5, P4, 0.3)
+        with pytest.raises(ValueError, match="the reference M is 4x4 but A is 5x5"):
+            quality_report(A5, P5, 0.3, reference=P4)
+
     def test_reference_distinguishes_p(self):
         rng = np.random.default_rng(9)
         A = random_well_conditioned(rng, 12, density=0.4)
@@ -444,6 +454,13 @@ class TestQualityReport:
 
 
 class TestVerifyDropGuarantees:
+    def test_mismatched_shapes_rejected(self):
+        I4, I5 = SparseMatrix.identity(4), SparseMatrix.identity(5)
+        with pytest.raises(ValueError, match="M is 4x4 but A is 5x5"):
+            verify_drop_guarantees(I5, I4, I5, 0.3)
+        with pytest.raises(ValueError, match="M_d is 4x4 but A is 5x5"):
+            verify_drop_guarantees(I5, I5, I4, 0.3)
+
     def test_no_dropping_all_pass(self):
         rng = np.random.default_rng(11)
         A = random_well_conditioned(rng, 10, density=0.6)

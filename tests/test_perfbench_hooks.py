@@ -42,25 +42,38 @@ def test_boundary_resolves(name, module, path, kind):
     assert spans._resolve(module, path) is not None, f"{name}: {module}.{path} is gone"
 
 
-# the build-side boundaries behind the per-layer metrics of BENCHMARK.json
-BUILD_BOUNDARIES = ("core.assemble", "core.column", "lsq.factor", "lsq.augment", "lsq.shrink",
-                    "parallel.map", "static.build")
+# the build-side boundaries behind the per-layer metrics of BENCHMARK.json,
+# each of which a benchmark workload's build must enter on its own
+BUILD_BOUNDARIES = {
+    "adaptive": ("core.assemble", "core.column", "lsq.factor", "lsq.augment", "lsq.shrink",
+                 "parallel.map"),
+    "static": ("core.assemble", "core.column", "lsq.factor", "parallel.map", "static.build"),
+}
 
 
-def test_builds_enter_every_metered_boundary():
-    """A small adaptive build with dropping and a static build with its
-    postfilter, called through module attributes as perfbench's workloads
-    call them, enter every boundary in ``BUILD_BOUNDARIES``."""
+def build_adaptive(A):
+    psai.build_preconditioner(A, psai.SaiParams(epsilon=0.2, l_max=8), threads=1)
+
+
+def build_static(A):
+    P = static.static_build(A, static.make_pattern(A, "iplusa", 2), threads=1)
+    static.postfilter(A, P, floor=0.1)
+
+
+@pytest.mark.parametrize("builder", ["adaptive", "static"])
+def test_builds_enter_every_metered_boundary(builder):
+    """A small adaptive build with dropping, and on its own a static build
+    with its postfilter, called through module attributes as perfbench's
+    workloads call them, each enter every boundary that its workload's
+    metrics read (``BUILD_BOUNDARIES``)."""
     A = random_sparse(np.random.default_rng(7), 40, 0.08, diag_boost=3.0)
     tracer = spans.Tracer("hooks")
     with spans.installed(tracer):
-        psai.build_preconditioner(A, psai.SaiParams(epsilon=0.2, l_max=8), threads=1)
-        P = static.static_build(A, static.make_pattern(A, "iplusa", 2), threads=1)
-        static.postfilter(A, P, floor=0.1)
+        {"adaptive": build_adaptive, "static": build_static}[builder](A)
     entered = set(tracer.names) | {name.removesuffix("_calls") for name, count
                                    in tracer.counts.items() if count}
     assert not tracer.absent
-    assert [name for name in BUILD_BOUNDARIES if name not in entered] == []
+    assert [name for name in BUILD_BOUNDARIES[builder] if name not in entered] == []
 
 
 def load_workloads():

@@ -60,6 +60,23 @@ class TestAdaptiveDropTolerance:
         with pytest.raises(TypeError, match="must be a real number|must be an integer count"):
             adaptive_drop_tolerance(epsilon, nnz_mk, a_one_norm)
 
+    @pytest.mark.parametrize("nnz_mk, a_one_norm, expected", [
+        ([1, 2], 1.0, [0.2, 0.1]), ((3,), 2, [0.2 / 6]), (np.array([4]), 0.5, [0.1]),
+    ])
+    def test_sequences_of_counts(self, nnz_mk, a_one_norm, expected):
+        # a list or tuple of counts passed the checks, then failed to multiply
+        assert adaptive_drop_tolerance(0.2, nnz_mk, a_one_norm).tolist() == expected
+
+    def test_one_count_gives_a_float(self):
+        assert type(adaptive_drop_tolerance(0.2, 10, 2.0)) is float
+        assert type(adaptive_drop_tolerance(0.2, np.int64(10), 2.0)) is float
+
+    @pytest.mark.parametrize("epsilon", [1.0, 2.0, -0.1])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        # epsilon 2.0 gave a tolerance, as if the theory covered it
+        with pytest.raises(ValueError, match="epsilon must lie in"):
+            adaptive_drop_tolerance(epsilon, 1, 1.0)
+
     def test_array_of_counts(self):
         counts = np.array([1, 3, 7])
         tols = adaptive_drop_tolerance(0.2, counts, 1.7)
@@ -89,6 +106,15 @@ class TestSaiParams:
     def test_real_fields_reject_booleans(self, kwargs, name):
         # tol=True and drop_scale=True were taken as 1
         with pytest.raises(TypeError, match=f"{name} must be a real number"):
+            SaiParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"drop_mode": "adaptive", "tol": "x"}, {"drop_mode": "none", "tol": -5.0},
+        {"tol": 1e-3},
+    ])
+    def test_tol_outside_fixed_mode_rejected(self, kwargs):
+        # the tolerance was accepted and silently ignored
+        with pytest.raises(ValueError, match="tol is used by the fixed drop mode only"):
             SaiParams(**kwargs)
 
     @pytest.mark.parametrize("l_max", [2.5, 3.0, True, False, "3", None])

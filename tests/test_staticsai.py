@@ -106,7 +106,7 @@ class TestStaticBuild:
         pattern = make_pattern(A, kind, 1)  # row 1 of A is zero: column 1 is empty
         assert pattern.column_nnz()[1] == 0
         solved = []
-        monkeypatch.setattr(saiprec.static, "_static_column", lambda k, *args: solved.append(k))
+        monkeypatch.setattr(saiprec.static, "_grow_block", lambda ks, *args: solved.extend(ks))
         with pytest.raises(ValueError, match="pattern column 1 is empty"):
             static_build(A, pattern)
         assert solved == []
@@ -116,7 +116,7 @@ class TestStaticBuild:
 
         A = SparseMatrix.from_dense(np.ones((3, 4)))
         solved = []
-        monkeypatch.setattr(saiprec.static, "_static_column", lambda k, *args: solved.append(k))
+        monkeypatch.setattr(saiprec.static, "_grow_block", lambda ks, *args: solved.extend(ks))
         with pytest.raises(ValueError, match="square matrix required"):
             static_build(A, A)
         assert solved == []
@@ -162,6 +162,13 @@ class TestStaticBuild:
 
 
 class TestPostfilter:
+    def test_mismatched_shapes_rejected(self):
+        # a 5x5 A against a 4x4 M failed inside scipy's matmul
+        A4 = SparseMatrix.identity(4)
+        P = static_build(A4, make_pattern(A4, "iplusa", 1))
+        with pytest.raises(ValueError, match="M is 4x4 but A is 5x5"):
+            postfilter(SparseMatrix.identity(5), P)
+
     def test_identity_unchanged(self):
         A = SparseMatrix.identity(4)
         P = static_build(A, make_pattern(A, "iplusa", 1))
